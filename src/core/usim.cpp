@@ -38,12 +38,17 @@ struct UserSimulator::WorkItem {
 /// An independent login-session driver; a user has `windows_per_user` slots
 /// (one, in the paper's model).
 struct UserSimulator::SessionSlot {
+  UserState* user = nullptr;          ///< owner
   std::size_t slot_index = 0;
   std::uint32_t session_ordinal = 0;  ///< global session number for this user
   std::size_t sessions_done = 0;      ///< sessions completed in this slot
   std::vector<WorkItem> items;
   std::size_t previous_item = OpStreamPolicy::kNone;
   std::size_t ops_this_session = 0;
+  /// The op in flight.  A slot issues its next op only after the previous
+  /// one completes, so one record per slot suffices and the completion
+  /// captures just (simulator, slot).
+  OpRecord in_flight;
 };
 
 /// Per-(user, characteristic) prefetch buffer over Distribution::sample_n —
@@ -176,7 +181,10 @@ UserSimulator::UserSimulator(sim::Simulation& sim, fs::SimulatedFileSystem& fsys
     user->type = &population_.type_for_user(global, config_.population_users);
     user->bind_buffers(config_);
     user->slots.resize(config_.windows_per_user);
-    for (std::size_t s = 0; s < config_.windows_per_user; ++s) user->slots[s].slot_index = s;
+    for (std::size_t s = 0; s < config_.windows_per_user; ++s) {
+      user->slots[s].user = user.get();
+      user->slots[s].slot_index = s;
+    }
     if (config_.arrival_times_us) user->arrivals = &(*config_.arrival_times_us)[global];
     users_.push_back(std::move(user));
   }
@@ -339,60 +347,60 @@ void UserSimulator::issue(UserState& user, SessionSlot& slot, WorkItem& item,
     model_op.offset = pos.ok() && pos.value() >= actual ? pos.value() - actual : 0;
   }
 
-  const double issued_at = sim_.now();
-  const std::uint32_t session = slot.session_ordinal;
-  sim::execute_chain(
-      sim_, model_.plan(model_op),
-      [this, &user, &slot, op, requested, actual, issued_at, session,
-       inode = item.inode, fsize = item.file_size, category = item.category](double elapsed) {
-        if (config_.collect_log || config_.on_record || config_.sink != nullptr) {
-          OpRecord record;
-          record.issue_time_us = issued_at;
-          record.response_us = elapsed;
-          record.user = static_cast<std::uint32_t>(user.index);
-          record.session = session;
-          record.op = op;
-          record.requested_bytes = requested;
-          record.actual_bytes = actual;
-          record.file_id = inode;
-          record.file_size = fsize;
-          record.category = category;
-          if (config_.on_record) config_.on_record(record);
-          if (config_.sink != nullptr) {
-            config_.sink->append(record);
-          } else if (config_.collect_log) {
-            log_.append(record);
-          }
-        }
-        // Completion continues the session: pick the next operation after a
-        // think time (already folded into schedule_next_op's delay).
-        bool all_done = true;
-        for (const auto& it : slot.items) {
-          if (it.state != WorkItem::State::done) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done || slot.ops_this_session >= config_.max_ops_per_session) {
-          // Emergency close of anything still open when the op budget blew.
-          for (auto& it : slot.items) {
-            if (it.fd >= 0) {
-              fsys_.close(it.fd);
-              it.fd = -1;
-            }
-          }
-          finish_session(user, slot);
-        } else {
-          schedule_next_op(user, slot);
-        }
-      });
+  OpRecord& record = slot.in_flight;
+  record.issue_time_us = sim_.now();
+  record.user = static_cast<std::uint32_t>(user.index);
+  record.session = slot.session_ordinal;
+  record.op = op;
+  record.requested_bytes = requested;
+  record.actual_bytes = actual;
+  record.file_id = item.inode;
+  record.file_size = item.file_size;
+  record.category = item.category;
+  sim::execute_chain(sim_, model_.plan(model_op),
+                     [this, &slot](double elapsed) { complete_op(slot, elapsed); });
+}
+
+void UserSimulator::complete_op(SessionSlot& slot, double elapsed) {
+  if (config_.collect_log || config_.on_record || config_.sink != nullptr) {
+    OpRecord& record = slot.in_flight;
+    record.response_us = elapsed;
+    if (config_.on_record) config_.on_record(record);
+    if (config_.sink != nullptr) {
+      config_.sink->append(record);
+    } else if (config_.collect_log) {
+      log_.append(record);
+    }
+  }
+  // Completion continues the session: pick the next operation after a
+  // think time (already folded into schedule_next_op's delay).
+  bool all_done = true;
+  for (const auto& it : slot.items) {
+    if (it.state != WorkItem::State::done) {
+      all_done = false;
+      break;
+    }
+  }
+  UserState& user = *slot.user;
+  if (all_done || slot.ops_this_session >= config_.max_ops_per_session) {
+    // Emergency close of anything still open when the op budget blew.
+    for (auto& it : slot.items) {
+      if (it.fd >= 0) {
+        fsys_.close(it.fd);
+        it.fd = -1;
+      }
+    }
+    finish_session(user, slot);
+  } else {
+    schedule_next_op(user, slot);
+  }
 }
 
 void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
   // Collect indices of unfinished items; map previous into that subset for
   // the Markov policy.
-  std::vector<std::size_t> active;
-  active.reserve(slot.items.size());
+  std::vector<std::size_t>& active = active_scratch_;
+  active.clear();
   std::size_t previous_active = OpStreamPolicy::kNone;
   for (std::size_t i = 0; i < slot.items.size(); ++i) {
     if (slot.items[i].state == WorkItem::State::done) continue;

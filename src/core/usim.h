@@ -193,6 +193,7 @@ class UserSimulator {
   bool plan_items(UserState& user, SessionSlot& slot);
   void issue(UserState& user, SessionSlot& slot, WorkItem& item, fsmodel::FsOpType op,
              std::uint64_t requested, std::uint64_t actual);
+  void complete_op(SessionSlot& slot, double elapsed);
   double sample_think(UserState& user);
   std::string new_file_path(UserState& user, UseMode use);
 
@@ -204,6 +205,7 @@ class UserSimulator {
   UsimConfig config_;
   std::unique_ptr<OpStreamPolicy> policy_;
   std::vector<std::unique_ptr<UserState>> users_;
+  std::vector<std::size_t> active_scratch_;  ///< issue_next_op's unfinished items
   UsageLog log_;
   std::uint64_t total_ops_ = 0;
   std::uint64_t sessions_completed_ = 0;

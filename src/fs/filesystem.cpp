@@ -17,13 +17,13 @@ SimulatedFileSystem::SimulatedFileSystem(Options options) : options_(options) {
 
 void SimulatedFileSystem::set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
 
-void SimulatedFileSystem::add_child(Inode& dir, const std::string& name, InodeId id) {
-  dir.children.emplace(name, id);
+void SimulatedFileSystem::add_child(Inode& dir, std::string_view name, InodeId id) {
+  dir.children.emplace(std::string(name), id);
   dir.size += 16 + name.size();  // UFS-style directory entry record
   dir.modified_at = now();
 }
 
-void SimulatedFileSystem::remove_child(Inode& dir, const std::string& name) {
+void SimulatedFileSystem::remove_child(Inode& dir, std::string_view name) {
   const auto it = dir.children.find(name);
   if (it == dir.children.end()) return;
   const std::uint64_t entry = 16 + name.size();
@@ -44,11 +44,12 @@ const SimulatedFileSystem::Inode& SimulatedFileSystem::inode_ref(InodeId id) con
   return it->second;
 }
 
-Result<InodeId> SimulatedFileSystem::resolve(const std::string& path) const {
-  std::vector<std::string> parts;
+Result<InodeId> SimulatedFileSystem::resolve(std::string_view path) const {
+  PathComponents parts;
   if (!split_path(path, parts)) return FsStatus::invalid_argument;
+  if (parts.overflowed()) return FsStatus::name_too_long;
   InodeId current = 1;
-  for (const auto& piece : parts) {
+  for (const std::string_view piece : parts) {
     if (piece.size() > options_.max_name_length) return FsStatus::name_too_long;
     const Inode& node = inode_ref(current);
     if (node.kind != FileKind::directory) return FsStatus::not_a_directory;
@@ -59,16 +60,17 @@ Result<InodeId> SimulatedFileSystem::resolve(const std::string& path) const {
   return current;
 }
 
-Result<InodeId> SimulatedFileSystem::resolve_parent(const std::string& path,
-                                                    std::string& leaf) const {
-  std::vector<std::string> parts;
+Result<InodeId> SimulatedFileSystem::resolve_parent(std::string_view path,
+                                                    std::string_view& leaf) const {
+  PathComponents parts;
   if (!split_path(path, parts)) return FsStatus::invalid_argument;
+  if (parts.overflowed()) return FsStatus::name_too_long;
   if (parts.empty()) return FsStatus::invalid_argument;  // root has no parent entry
   leaf = parts.back();
   if (leaf.size() > options_.max_name_length) return FsStatus::name_too_long;
   parts.pop_back();
   InodeId current = 1;
-  for (const auto& piece : parts) {
+  for (const std::string_view piece : parts) {
     const Inode& node = inode_ref(current);
     if (node.kind != FileKind::directory) return FsStatus::not_a_directory;
     const auto it = node.children.find(piece);
@@ -120,7 +122,7 @@ Result<Fd> SimulatedFileSystem::open(const std::string& path, unsigned flags) {
       return FsStatus::is_a_directory;
     }
   } else if (found.status() == FsStatus::not_found && (flags & kCreate) != 0) {
-    std::string leaf;
+    std::string_view leaf;
     const Result<InodeId> parent = resolve_parent(path, leaf);
     if (!parent.ok()) return parent.status();
     Inode node;
@@ -273,7 +275,7 @@ Result<std::uint64_t> SimulatedFileSystem::lseek(Fd fd, std::int64_t offset, See
 }
 
 FsStatus SimulatedFileSystem::unlink(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(path, leaf);
   if (!parent.ok()) return parent.status();
   Inode& dir = inode_ref(parent.value());
@@ -294,7 +296,7 @@ FsStatus SimulatedFileSystem::link(const std::string& existing, const std::strin
   if (!found.ok()) return found.status();
   Inode& node = inode_ref(found.value());
   if (node.kind == FileKind::directory) return FsStatus::is_a_directory;  // as POSIX EPERM-ish
-  std::string leaf;
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(link_path, leaf);
   if (!parent.ok()) return parent.status();
   Inode& dir = inode_ref(parent.value());
@@ -305,7 +307,7 @@ FsStatus SimulatedFileSystem::link(const std::string& existing, const std::strin
 }
 
 FsStatus SimulatedFileSystem::mkdir(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(path, leaf);
   if (!parent.ok()) return parent.status();
   Inode& dir = inode_ref(parent.value());
@@ -336,7 +338,7 @@ FsStatus SimulatedFileSystem::mkdir_recursive(const std::string& path) {
 }
 
 FsStatus SimulatedFileSystem::rmdir(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(path, leaf);
   if (!parent.ok()) return parent.status();
   Inode& dir = inode_ref(parent.value());
@@ -353,7 +355,7 @@ FsStatus SimulatedFileSystem::rmdir(const std::string& path) {
 }
 
 FsStatus SimulatedFileSystem::rename(const std::string& from, const std::string& to) {
-  std::string from_leaf;
+  std::string_view from_leaf;
   const Result<InodeId> from_parent = resolve_parent(from, from_leaf);
   if (!from_parent.ok()) return from_parent.status();
   const auto from_it = inode_ref(from_parent.value()).children.find(from_leaf);
@@ -371,7 +373,7 @@ FsStatus SimulatedFileSystem::rename(const std::string& from, const std::string&
     }
   }
 
-  std::string to_leaf;
+  std::string_view to_leaf;
   const Result<InodeId> to_parent = resolve_parent(to, to_leaf);
   if (!to_parent.ok()) return to_parent.status();
   Inode& dest_dir = inode_ref(to_parent.value());

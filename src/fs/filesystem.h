@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -179,7 +180,7 @@ class SimulatedFileSystem {
     double modified_at = 0.0;
     double accessed_at = 0.0;
     std::vector<std::uint8_t> data;           // only when store_data
-    std::map<std::string, InodeId> children;  // only for directories
+    std::map<std::string, InodeId, std::less<>> children;  // only for directories
   };
 
   struct OpenFile {
@@ -189,12 +190,15 @@ class SimulatedFileSystem {
   };
 
   double now() const { return clock_ ? clock_() : 0.0; }
-  void add_child(Inode& dir, const std::string& name, InodeId id);
-  void remove_child(Inode& dir, const std::string& name);
+  void add_child(Inode& dir, std::string_view name, InodeId id);
+  void remove_child(Inode& dir, std::string_view name);
   Inode& inode_ref(InodeId id);
   const Inode& inode_ref(InodeId id) const;
-  Result<InodeId> resolve(const std::string& path) const;
-  Result<InodeId> resolve_parent(const std::string& path, std::string& leaf) const;
+  /// Path walks: components are viewed in place on a fixed stack
+  /// (PathComponents), so resolving allocates nothing.  `leaf` views into
+  /// `path`.
+  Result<InodeId> resolve(std::string_view path) const;
+  Result<InodeId> resolve_parent(std::string_view path, std::string_view& leaf) const;
   void maybe_collect(InodeId id);
   FsStatus grow_check(std::uint64_t extra) const;
   Result<OpenFile*> descriptor(Fd fd);

@@ -2,26 +2,6 @@
 
 namespace wlgen::fs {
 
-bool split_path(std::string_view path, std::vector<std::string>& components) {
-  components.clear();
-  if (path.empty() || path.front() != '/') return false;
-  std::size_t i = 1;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t start = i;
-    while (i < path.size() && path[i] != '/') ++i;
-    if (i == start) break;
-    std::string_view piece = path.substr(start, i - start);
-    if (piece == ".") continue;
-    if (piece == "..") {
-      if (!components.empty()) components.pop_back();
-      continue;  // ".." at the root stays at the root
-    }
-    components.emplace_back(piece);
-  }
-  return true;
-}
-
 std::string join_path(const std::vector<std::string>& components) {
   if (components.empty()) return "/";
   std::string out;

@@ -20,7 +20,7 @@ enum class FsStatus {
   bad_descriptor,      ///< EBADF
   invalid_argument,    ///< EINVAL
   no_space,            ///< ENOSPC
-  name_too_long,       ///< ENAMETOOLONG
+  name_too_long,       ///< ENAMETOOLONG (component too long, or path nested too deep)
   directory_not_empty, ///< ENOTEMPTY
   too_many_open_files, ///< EMFILE
   not_permitted,       ///< EPERM (e.g. writing a read-only open)

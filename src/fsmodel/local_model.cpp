@@ -41,7 +41,8 @@ sim::StageChain LocalDiskModel::plan_op(const FsOp& op) {
       if (op.size == 0) break;
       const std::uint64_t first = op.offset / params_.block_size;
       const std::uint64_t last = (op.offset + op.size - 1) / params_.block_size;
-      const bool sequential = last_end_[op.file_id] == op.offset;
+      const std::uint64_t* last_end = last_end_.find(op.file_id);
+      const bool sequential = (last_end != nullptr ? *last_end : 0) == op.offset;
       for (std::uint64_t b = first; b <= last; ++b) {
         const std::uint64_t key = block_key(op.file_id, b);
         if (buffer_cache_.access(key)) {
@@ -94,6 +95,8 @@ sim::StageChain LocalDiskModel::plan_op(const FsOp& op) {
       chain.push_back(sim::Stage::make_use(disk_, disk.metadata_time_us()));
       if (op.type == FsOpType::unlink) {
         inode_cache_.erase(op.file_id);
+        dirty_bytes_.erase(op.file_id);
+        last_end_.erase(op.file_id);
       } else {
         inode_cache_.insert(op.file_id);
       }
@@ -103,10 +106,10 @@ sim::StageChain LocalDiskModel::plan_op(const FsOp& op) {
       chain.push_back(sim::Stage::make_use(cpu_, params_.syscall_overhead_us * 0.5));
       // Delayed writes remain in the buffer cache past close (classic UNIX);
       // push whatever is left to the background flusher.
-      const auto it = dirty_bytes_.find(op.file_id);
-      if (it != dirty_bytes_.end() && it->second > 0) {
-        schedule_async_flush(it->second);
-        it->second = 0;
+      std::uint64_t* dirty = dirty_bytes_.find(op.file_id);
+      if (dirty != nullptr && *dirty > 0) {
+        schedule_async_flush(*dirty);
+        *dirty = 0;
       }
       break;
     }

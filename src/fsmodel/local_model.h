@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "fsmodel/disk.h"
+#include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/model.h"
 #include "sim/resource.h"
@@ -55,8 +55,9 @@ class LocalDiskModel final : public FileSystemModel {
   sim::Resource disk_;
   LruCache buffer_cache_;
   LruCache inode_cache_;
-  std::unordered_map<std::uint64_t, std::uint64_t> dirty_bytes_;
-  std::unordered_map<std::uint64_t, std::uint64_t> last_end_;
+  // Per-file state, erased on unlink (inode ids are never reused).
+  FlatIdMap<std::uint64_t> dirty_bytes_;
+  FlatIdMap<std::uint64_t> last_end_;
   std::uint64_t async_flushes_ = 0;
 };
 

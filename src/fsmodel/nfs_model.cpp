@@ -112,7 +112,8 @@ sim::StageChain NfsModel::plan_read(const FsOp& op) {
   if (op.size == 0) return chain;
   const std::uint64_t first = op.offset / params_.block_size;
   const std::uint64_t last = (op.offset + op.size - 1) / params_.block_size;
-  const bool sequential = client.last_end[op.file_id] == op.offset;
+  const std::uint64_t* last_end = client.last_end.find(op.file_id);
+  const bool sequential = (last_end != nullptr ? *last_end : 0) == op.offset;
   for (std::uint64_t b = first; b <= last; ++b) {
     // The first block of a fresh (non-sequential) access pays a full seek;
     // follow-on blocks stream sequentially.
@@ -208,7 +209,11 @@ sim::StageChain NfsModel::plan_metadata(const FsOp& op, bool mutates) {
   network_.append_message_stages(chain, params_.rpc_reply_meta_bytes);
   if (op.type == FsOpType::unlink) {
     // Invalidate everywhere: every client workstation and the server.
-    for (auto& c : clients_) c->attr.erase(op.file_id);
+    for (auto& c : clients_) {
+      c->attr.erase(op.file_id);
+      c->dirty_bytes.erase(op.file_id);
+      c->last_end.erase(op.file_id);
+    }
     server_attr_.erase(op.file_id);
   } else {
     client.attr.insert(op.file_id);
@@ -236,15 +241,15 @@ sim::StageChain NfsModel::plan_op(const FsOp& op) {
       sim::StageChain chain;
       chain.push_back(sim::Stage::make_use(client.cpu, params_.client_overhead_us));
       // Close-to-open consistency: flush remaining dirty bytes synchronously.
-      const auto it = client.dirty_bytes.find(op.file_id);
-      if (it != client.dirty_bytes.end() && it->second > 0) {
+      std::uint64_t* dirty = client.dirty_bytes.find(op.file_id);
+      if (dirty != nullptr && *dirty > 0) {
         DiskModel disk(params_.disk);
-        network_.append_message_stages(chain, it->second + params_.rpc_request_bytes);
+        network_.append_message_stages(chain, *dirty + params_.rpc_request_bytes);
         chain.push_back(sim::Stage::make_use(server_cpu_, params_.server_cpu_us));
-        chain.push_back(sim::Stage::make_use(server_disk_, disk.io_time_us(it->second)));
+        chain.push_back(sim::Stage::make_use(server_disk_, disk.io_time_us(*dirty)));
         network_.append_message_stages(chain, params_.rpc_reply_meta_bytes);
         ++rpcs_;
-        it->second = 0;
+        *dirty = 0;
       }
       return chain;
     }

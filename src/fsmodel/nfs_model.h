@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fsmodel/disk.h"
+#include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/model.h"
 #include "net/network.h"
@@ -100,8 +100,10 @@ class NfsModel final : public FileSystemModel {
     sim::Resource cpu;
     LruCache cache;
     LruCache attr;
-    std::unordered_map<std::uint64_t, std::uint64_t> dirty_bytes;  // file -> unflushed
-    std::unordered_map<std::uint64_t, std::uint64_t> last_end;     // file -> last read end
+    // Per-file state, erased when the file is unlinked (inode ids are never
+    // reused, so an unlinked file's entries would otherwise live forever).
+    FlatIdMap<std::uint64_t> dirty_bytes;  // file -> unflushed
+    FlatIdMap<std::uint64_t> last_end;     // file -> last read end
   };
 
   Client& client_for(const FsOp& op);

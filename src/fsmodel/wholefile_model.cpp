@@ -63,7 +63,7 @@ sim::StageChain WholeFileCacheModel::plan_op(const FsOp& op) {
           params_.local_io_us +
           params_.byte_copy_us_per_kb * static_cast<double>(op.size) / 1024.0));
       if (op.type == FsOpType::write) {
-        dirty_files_.insert(op.file_id);
+        dirty_files_[op.file_id] = true;
         std::uint64_t& sz = cached_size_[op.file_id];
         sz = std::max(sz, op.offset + op.size);
       }
@@ -71,13 +71,11 @@ sim::StageChain WholeFileCacheModel::plan_op(const FsOp& op) {
     }
     case FsOpType::close: {
       chain.push_back(sim::Stage::make_use(client_cpu_, params_.local_io_us));
-      const auto it = dirty_files_.find(op.file_id);
-      if (it != dirty_files_.end()) {
+      if (dirty_files_.erase(op.file_id)) {
         ++stores_;
         const std::uint64_t bytes =
             std::max<std::uint64_t>(cached_size_[op.file_id], op.file_size);
         append_transfer(chain, bytes, /*to_client=*/false);
-        dirty_files_.erase(it);
       }
       break;
     }

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "fsmodel/disk.h"
+#include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/model.h"
 #include "net/network.h"
@@ -61,8 +60,8 @@ class WholeFileCacheModel final : public FileSystemModel {
   sim::Resource server_cpu_;
   sim::Resource server_disk_;
   LruCache file_cache_;
-  std::unordered_set<std::uint64_t> dirty_files_;
-  std::unordered_map<std::uint64_t, std::uint64_t> cached_size_;
+  FlatIdMap<bool> dirty_files_;  ///< present = modified since the last store
+  FlatIdMap<std::uint64_t> cached_size_;
   std::uint64_t fetches_ = 0;
   std::uint64_t stores_ = 0;
 };

@@ -8,32 +8,36 @@
 
 namespace wlgen::sim {
 
-/// Move-only type-erased `void()` callable with a small-buffer optimisation.
+template <typename Signature>
+class Callback;
+
+/// Move-only type-erased callable with a small-buffer optimisation.
 ///
 /// Captures up to kInlineCapacity bytes are stored inline — constructing,
 /// moving and destroying such a callback never touches the heap, which is
-/// what makes scheduling a simulation event allocation-free.  Larger
-/// captures (rare: stage-chain continuations with big state) fall back to a
-/// single heap cell.
+/// what makes scheduling a simulation event, queueing on a Resource and
+/// completing a stage chain allocation-free.  Larger captures (rare: replay
+/// completions carrying a whole record) fall back to a single heap cell.
 ///
-/// Replaces std::function<void()> in the event queue: std::function's
-/// small-buffer is both smaller and unspecified, and its copyability forces
+/// Replaces std::function: its small buffer is both smaller (16 bytes in
+/// libstdc++) and unspecified, and its copyability forces
 /// capture-by-shared-state idioms the DES kernel does not need.
-class EventFn {
+template <typename R, typename... Args>
+class Callback<R(Args...)> {
  public:
   static constexpr std::size_t kInlineCapacity = 48;
 
-  EventFn() = default;
-  EventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  Callback() = default;
+  Callback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& fn) {  // NOLINT(google-explicit-constructor)
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Callback> &&
+                                        std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  Callback(F&& fn) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     // An empty std::function (or null function pointer) wraps to an empty
-    // EventFn, so Simulation's schedule-time validation still rejects it
-    // instead of crashing at dispatch time.
+    // Callback, so the schedule/use/execute_chain validation still rejects
+    // it instead of crashing at dispatch time.
     if constexpr (requires { fn == nullptr; }) {
       if (fn == nullptr) return;
     }
@@ -46,9 +50,9 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { move_from(other); }
+  Callback(Callback&& other) noexcept { move_from(other); }
 
-  EventFn& operator=(EventFn&& other) noexcept {
+  Callback& operator=(Callback&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
@@ -56,14 +60,14 @@ class EventFn {
     return *this;
   }
 
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
 
-  ~EventFn() { reset(); }
+  ~Callback() { reset(); }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) { return ops_->invoke(storage_, std::forward<Args>(args)...); }
 
   void reset() {
     if (ops_ != nullptr) {
@@ -74,7 +78,7 @@ class EventFn {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args...);
     void (*relocate)(void* dst, void* src) noexcept;  ///< move-construct dst, destroy src
     void (*destroy)(void*);
   };
@@ -87,7 +91,9 @@ class EventFn {
 
   template <typename Fn>
   static inline const Ops kInlineOps = {
-      [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
+      [](void* s, Args... args) -> R {
+        return (*std::launder(reinterpret_cast<Fn*>(s)))(std::forward<Args>(args)...);
+      },
       [](void* dst, void* src) noexcept {
         Fn* from = std::launder(reinterpret_cast<Fn*>(src));
         ::new (dst) Fn(std::move(*from));
@@ -98,14 +104,16 @@ class EventFn {
 
   template <typename Fn>
   static inline const Ops kHeapOps = {
-      [](void* s) { (**std::launder(reinterpret_cast<Fn**>(s)))(); },
+      [](void* s, Args... args) -> R {
+        return (**std::launder(reinterpret_cast<Fn**>(s)))(std::forward<Args>(args)...);
+      },
       [](void* dst, void* src) noexcept {
         ::new (dst) Fn*(*std::launder(reinterpret_cast<Fn**>(src)));
       },
       [](void* s) { delete *std::launder(reinterpret_cast<Fn**>(s)); },
   };
 
-  void move_from(EventFn& other) noexcept {
+  void move_from(Callback& other) noexcept {
     if (other.ops_ != nullptr) {
       other.ops_->relocate(storage_, other.storage_);
       ops_ = other.ops_;
@@ -116,5 +124,8 @@ class EventFn {
   alignas(std::max_align_t) unsigned char storage_[kInlineCapacity]{};
   const Ops* ops_ = nullptr;
 };
+
+/// A simulation event / resource completion: `void()`.
+using EventFn = Callback<void()>;
 
 }  // namespace wlgen::sim

@@ -2,9 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/simulation.h"
 
@@ -25,8 +24,10 @@ class Resource {
   Resource& operator=(const Resource&) = delete;
 
   /// Requests `service_time` microseconds of service; `on_complete` runs when
-  /// the request finishes (after any queueing delay).
-  void use(SimTime service_time, std::function<void()> on_complete);
+  /// the request finishes (after any queueing delay).  Once the resource's
+  /// queue storage is warm this allocates nothing for captures up to
+  /// EventFn::kInlineCapacity bytes.
+  void use(SimTime service_time, EventFn on_complete);
 
   const std::string& name() const { return name_; }
   std::size_t capacity() const { return capacity_; }
@@ -35,7 +36,7 @@ class Resource {
   std::uint64_t completed() const { return completed_; }
 
   /// Requests currently waiting (not in service).
-  std::size_t queue_length() const { return waiting_.size(); }
+  std::size_t queue_length() const { return waiting_size_; }
 
   /// Requests currently in service.
   std::size_t in_service() const { return busy_; }
@@ -55,19 +56,27 @@ class Resource {
 
  private:
   struct Pending {
-    SimTime service_time;
-    std::function<void()> on_complete;
+    SimTime service_time = 0.0;
+    EventFn on_complete;
   };
 
   void integrate_to_now();
-  void start_service(Pending request);
-  void on_service_done(std::function<void()> on_complete);
+  void start_service(SimTime service_time, EventFn on_complete);
+  void on_service_done(std::uint32_t slot);
+  void push_waiting(SimTime service_time, EventFn on_complete);
 
   Simulation& sim_;
   std::string name_;
   std::size_t capacity_;
   std::size_t busy_ = 0;
-  std::deque<Pending> waiting_;
+  /// Completions of the requests in service, by slot; the service-done
+  /// event captures only (this, slot), so it stays inline in the event.
+  std::vector<EventFn> serving_;
+  std::vector<std::uint32_t> free_serving_;
+  /// FCFS wait queue: a ring buffer over a power-of-two vector.
+  std::vector<Pending> waiting_;
+  std::size_t waiting_head_ = 0;
+  std::size_t waiting_size_ = 0;
   std::uint64_t completed_ = 0;
 
   SimTime stats_start_ = 0.0;

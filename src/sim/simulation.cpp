@@ -4,11 +4,16 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/chain_state.h"
+
 namespace wlgen::sim {
 
 namespace {
 constexpr std::size_t kArity = 4;
 }
+
+Simulation::Simulation() = default;
+Simulation::~Simulation() = default;
 
 void Simulation::schedule(SimTime delay, EventFn action) {
   if (delay < 0.0) throw std::invalid_argument("Simulation::schedule: negative delay");
@@ -40,6 +45,12 @@ void Simulation::reset() {
   // the next run repopulates slots in place without reallocating.
   slots_.clear();
   free_slots_.clear();
+  // Every chain in flight was discarded with its events: reclaim them all.
+  free_chains_.clear();
+  for (const auto& state : chain_pool_) {
+    state->done.reset();
+    free_chains_.push_back(state.get());
+  }
   now_ = 0.0;
   next_seq_ = 0;
   processed_ = 0;

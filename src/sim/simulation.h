@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/callback.h"
@@ -12,6 +13,9 @@ namespace wlgen::sim {
 /// microseconds (Table 5.3, Figures 5.6–5.12), so the kernel adopts the same
 /// unit.
 using SimTime = double;
+
+struct ChainState;  // sim/chain_state.h
+class ChainRunner;  // sim/stages.cpp
 
 /// Discrete-event simulation kernel.
 ///
@@ -34,9 +38,14 @@ using SimTime = double;
 /// EventFn::kInlineCapacity bytes performs zero heap allocations once the
 /// arena is warm — the std::function-per-event design this replaces paid one
 /// malloc/free pair per simulated system call.
+///
+/// The Simulation also owns the pool of in-flight stage-chain states that
+/// sim::execute_chain draws from (see sim/stages.h), so a warm simulation
+/// runs whole syscall chains without allocating.
 class Simulation {
  public:
-  Simulation() = default;
+  Simulation();
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -63,8 +72,15 @@ class Simulation {
   /// arena and heap storage warm.  This is the shard-runner reuse path (see
   /// DESIGN.md "Sharded runner"): one worker simulates many independent
   /// user timelines back to back on the same Simulation without paying the
-  /// arena's allocation ramp-up again.
+  /// arena's allocation ramp-up again.  Chains still in flight are
+  /// discarded too and their pooled states reclaimed; a Resource that had
+  /// requests in flight belongs to the discarded timeline and must not be
+  /// used again.
   void reset();
+
+  /// Stage-chain states this simulation has allocated so far (the pool's
+  /// high-water mark of concurrently running chains).
+  std::size_t chain_pool_size() const { return chain_pool_.size(); }
 
   /// Number of events executed so far.
   std::uint64_t events_processed() const { return processed_; }
@@ -81,6 +97,8 @@ class Simulation {
   std::size_t arena_high_water() const { return slots_.size(); }
 
  private:
+  friend class ChainRunner;
+
   /// Hot half of a heap entry: everything the sift comparisons read.  The
   /// arena slot rides in the parallel heap_slots_ array (the callback
   /// itself never moves — it stays put in its arena slot until dispatch).
@@ -104,6 +122,8 @@ class Simulation {
   std::vector<std::uint32_t> heap_slots_;  ///< payload half, parallel to heap_keys_
   std::vector<EventFn> slots_;           ///< pooled callback arena
   std::vector<std::uint32_t> free_slots_;
+  std::vector<std::unique_ptr<ChainState>> chain_pool_;  ///< every chain state made
+  std::vector<ChainState*> free_chains_;                 ///< the idle ones
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

@@ -380,6 +380,28 @@ TEST(FileSystem, PathThroughFileRejected) {
   EXPECT_EQ(fsys.stat("/f/child").status(), FsStatus::not_a_directory);
 }
 
+// Resolution walks path components in place on a fixed stack: ".."
+// stays lexical however long the path, and only a path that nests deeper
+// than the stack is refused, as ENAMETOOLONG.
+TEST(FileSystem, LongPathsResolveLexicallyWithoutAllocating) {
+  SimulatedFileSystem fsys;
+  ASSERT_EQ(fsys.mkdir("/d"), FsStatus::ok);
+  fsys.close(fsys.creat("/d/f").value());
+  std::string wandering = "/d";
+  for (int i = 0; i < 1000; ++i) wandering += "/missing/..";
+  EXPECT_TRUE(fsys.stat(wandering + "/f").ok());
+  EXPECT_EQ(fsys.unlink(wandering + "/nope"), FsStatus::not_found);
+
+  std::string deep;
+  for (std::size_t i = 0; i <= PathComponents::kMaxDepth; ++i) deep += "/x";
+  EXPECT_EQ(fsys.stat(deep).status(), FsStatus::name_too_long);
+  EXPECT_EQ(fsys.mkdir(deep), FsStatus::name_too_long);
+  // Exactly at the limit it is an ordinary miss.
+  std::string at_limit;
+  for (std::size_t i = 0; i < PathComponents::kMaxDepth; ++i) at_limit += "/x";
+  EXPECT_EQ(fsys.stat(at_limit).status(), FsStatus::not_found);
+}
+
 TEST(ResultType, ValueAccessContracts) {
   Result<int> good(5);
   EXPECT_TRUE(good.ok());

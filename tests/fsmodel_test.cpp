@@ -239,6 +239,33 @@ TEST(NfsModelTest, UnlinkInvalidatesAttributeCache) {
   EXPECT_FALSE(nfs.client_attr_cache().contains(5));
 }
 
+// Unlink drops the file's per-client read position and dirty count (inode
+// ids are never reused, so the entries would otherwise live forever): a
+// read continuing where the unlinked file's last read ended no longer
+// counts as sequential, and a later close has nothing to flush.
+TEST(NfsModelTest, UnlinkForgetsPerFileState) {
+  sim::Simulation sim;
+  NfsModel nfs(sim);
+  run_op(sim, nfs, read_op(5, 0, 1024));
+  FsOp write;
+  write.type = FsOpType::write;
+  write.file_id = 5;
+  write.size = 1000;
+  run_op(sim, nfs, write);
+  FsOp unlink;
+  unlink.type = FsOpType::unlink;
+  unlink.file_id = 5;
+  run_op(sim, nfs, unlink);
+  const std::uint64_t rpcs = nfs.rpc_count();
+  FsOp close;
+  close.type = FsOpType::close;
+  close.file_id = 5;
+  run_op(sim, nfs, close);
+  EXPECT_EQ(nfs.rpc_count(), rpcs);  // no dirty remainder left to flush
+  run_op(sim, nfs, read_op(5, 1000, 1024));
+  EXPECT_EQ(nfs.readahead_count(), 0u);  // not a sequential continuation
+}
+
 TEST(NfsModelTest, MetadataMutationsHitDisk) {
   sim::Simulation sim;
   NfsModel nfs(sim);
@@ -395,6 +422,26 @@ TEST(LocalModelTest, AsyncWriteFastPath) {
   sim.run();
   EXPECT_LT(elapsed, 500.0);
   EXPECT_GE(local.disk_resource().completed(), 1u);  // flushed in background
+}
+
+TEST(LocalModelTest, UnlinkDropsDirtyBytes) {
+  sim::Simulation sim;
+  LocalDiskModel local(sim);
+  FsOp write;
+  write.type = FsOpType::write;
+  write.file_id = 3;
+  write.size = 1000;  // below one block: stays dirty until close
+  run_op(sim, local, write);
+  FsOp unlink;
+  unlink.type = FsOpType::unlink;
+  unlink.file_id = 3;
+  run_op(sim, local, unlink);
+  const std::uint64_t disk_ops = local.disk_resource().completed();
+  FsOp close;
+  close.type = FsOpType::close;
+  close.file_id = 3;
+  run_op(sim, local, close);
+  EXPECT_EQ(local.disk_resource().completed(), disk_ops);  // nothing flushed
 }
 
 // ---------------------------------------------------------------------------

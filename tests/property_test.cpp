@@ -12,6 +12,7 @@
 #include "core/presets.h"
 #include "core/usim.h"
 #include "fs/filesystem.h"
+#include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/nfs_model.h"
 #include "util/rng.h"
@@ -85,6 +86,152 @@ TEST_P(LruFuzz, MatchesReferenceImplementation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LruFuzz, ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------------------------------
+// Flat LRU (node array + intrusive list + open-addressing index) against the
+// classic std::list + std::map LRU it replaced: identical return values,
+// hit/miss counts and sizes under a seeded mix of every operation, at the
+// capacities the models use (1, 2, a small odd one, the NFS client cache).
+// ---------------------------------------------------------------------------
+
+class ListMapLru {
+ public:
+  explicit ListMapLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool access(std::uint64_t key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses_;
+      return false;
+    }
+    ++hits_;
+    order_.splice(order_.begin(), order_, it->second);
+    return true;
+  }
+  bool insert(std::uint64_t key) {
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      order_.splice(order_.begin(), order_, it->second);
+      return false;
+    }
+    bool evicted = false;
+    if (index_.size() >= capacity_) {
+      index_.erase(order_.back());
+      order_.pop_back();
+      evicted = true;
+    }
+    order_.push_front(key);
+    index_.emplace(key, order_.begin());
+    return evicted;
+  }
+  void erase(std::uint64_t key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return;
+    order_.erase(it->second);
+    index_.erase(it);
+  }
+  bool contains(std::uint64_t key) const { return index_.count(key) != 0; }
+  void clear() {
+    order_.clear();
+    index_.clear();
+  }
+  std::size_t size() const { return index_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  std::size_t capacity_;
+  std::list<std::uint64_t> order_;  // most recent at front
+  std::map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+struct FlatLruCase {
+  std::size_t capacity;
+  std::uint64_t seed;
+};
+
+class FlatLruProperty : public ::testing::TestWithParam<FlatLruCase> {};
+
+TEST_P(FlatLruProperty, MatchesListMapReference) {
+  const auto [capacity, seed] = GetParam();
+  fsmodel::LruCache cache(capacity);
+  ListMapLru reference(capacity);
+  util::RngStream rng(seed, "flat-lru-property");
+  // Keys shaped like the models' block keys (inode << 24 ^ block), over a
+  // universe about twice the capacity so evictions and re-inserts are
+  // frequent.
+  const std::int64_t universe = static_cast<std::int64_t>(2 * capacity + 3);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t k = static_cast<std::uint64_t>(rng.uniform_int(0, universe - 1));
+    const std::uint64_t key = ((k % 17 + 1) << 24) ^ (k / 17);
+    const std::int64_t op = rng.uniform_int(0, 99);
+    if (op < 35) {
+      ASSERT_EQ(cache.access(key), reference.access(key)) << "step " << step;
+    } else if (op < 75) {
+      ASSERT_EQ(cache.insert(key), reference.insert(key)) << "step " << step;
+    } else if (op < 87) {
+      cache.erase(key);
+      reference.erase(key);
+    } else {
+      ASSERT_EQ(cache.contains(key), reference.contains(key)) << "step " << step;
+    }
+    if (step % 7001 == 7000) {  // rare enough that the cache fills first
+      cache.clear();
+      reference.clear();
+    }
+    ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
+    ASSERT_EQ(cache.hits(), reference.hits()) << "step " << step;
+    ASSERT_EQ(cache.misses(), reference.misses()) << "step " << step;
+  }
+  // Every resident key agrees at the end.
+  for (std::int64_t k = 0; k < universe; ++k) {
+    const std::uint64_t key =
+        ((static_cast<std::uint64_t>(k) % 17 + 1) << 24) ^ (static_cast<std::uint64_t>(k) / 17);
+    EXPECT_EQ(cache.contains(key), reference.contains(key)) << "key " << key;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, FlatLruProperty,
+                         ::testing::Values(FlatLruCase{1, 11}, FlatLruCase{2, 12},
+                                           FlatLruCase{7, 13}, FlatLruCase{384, 14},
+                                           FlatLruCase{384, 15}));
+
+// The open-addressing map under the LRU index and the models' per-file
+// state, against std::map: inserts, lookups and backward-shift erases over
+// clustered keys (so probe runs are long and wrap the table).
+TEST(FlatIdMapProperty, MatchesStdMap) {
+  fsmodel::FlatIdMap<std::uint64_t> map;
+  std::map<std::uint64_t, std::uint64_t> reference;
+  util::RngStream rng(20261017, "flat-id-map");
+  for (int step = 0; step < 50000; ++step) {
+    const std::uint64_t key = static_cast<std::uint64_t>(rng.uniform_int(0, 299)) << 24;
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (op < 4) {
+      const std::uint64_t value = static_cast<std::uint64_t>(step);
+      map[key] = value;
+      reference[key] = value;
+    } else if (op < 7) {
+      ASSERT_EQ(map.erase(key), reference.erase(key) != 0) << "step " << step;
+    } else {
+      const std::uint64_t* found = map.find(key);
+      const auto it = reference.find(key);
+      ASSERT_EQ(found != nullptr, it != reference.end()) << "step " << step;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "step " << step;
+      }
+    }
+    ASSERT_EQ(map.size(), reference.size()) << "step " << step;
+    if (step % 10007 == 10006) {
+      map.clear();
+      reference.clear();
+    }
+  }
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    EXPECT_EQ(map.contains(k << 24), reference.count(k << 24) != 0) << "key " << k;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // File-system fuzz against a size-tracking reference model.

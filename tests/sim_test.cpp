@@ -1,5 +1,7 @@
 // Unit tests for src/sim: event ordering, clock semantics, FCFS resources
-// with utilisation accounting, and stage-chain execution.
+// with utilisation accounting, and stage-chain execution — plus the
+// allocation pins of the syscall pipeline built on them (fsmodel plans,
+// pooled chains, USIM completions).
 
 #include <gtest/gtest.h>
 
@@ -7,11 +9,17 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "core/fsc.h"
+#include "core/presets.h"
+#include "core/usim.h"
+#include "fs/filesystem.h"
+#include "fsmodel/nfs_model.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
 #include "sim/stages.h"
@@ -244,6 +252,101 @@ TEST(Simulation, SmallCaptureEventsAllocateNothingAfterWarmup) {
   EXPECT_EQ(fired, 2 * n);
 }
 
+// One round of NFS syscalls issued at the same instant, so they queue on the
+// client CPU (a capacity-1 resource) behind each other.  Every plan stays
+// within StageChain::kInlineCapacity stages: single-block reads (7 stages
+// on a miss), writes whose 8 KiB dirty threshold fires an async flush
+// chain, sequential continuations that arm read-ahead chains, lseeks,
+// reopens and closes that flush the dirty remainder.
+void nfs_round(Simulation& sim, fsmodel::NfsModel& nfs, std::uint64_t round,
+               std::uint64_t* completed) {
+  constexpr std::uint64_t kFiles = 48;
+  constexpr std::uint64_t kBlock = 8192;
+  constexpr std::uint64_t kFileBlocks = 64;  // 48 x 64 blocks thrash both caches
+  for (std::uint64_t f = 1; f <= kFiles; ++f) {
+    const std::uint64_t block = (round + f) % kFileBlocks;
+    auto issue = [&](fsmodel::FsOpType type, std::uint64_t offset, std::uint64_t size) {
+      fsmodel::FsOp op;
+      op.type = type;
+      op.file_id = f;
+      op.offset = offset;
+      op.size = size;
+      op.file_size = kFileBlocks * kBlock;
+      execute_chain(sim, nfs.plan(op), [completed](SimTime) { ++*completed; });
+    };
+    issue(fsmodel::FsOpType::open, 0, 0);
+    issue(fsmodel::FsOpType::read, block * kBlock, 1024);         // miss (thrashing)
+    issue(fsmodel::FsOpType::read, block * kBlock + 1024, 1024);  // hit + read-ahead
+    issue(fsmodel::FsOpType::read, block * kBlock + 1024, 512);   // hit, not sequential
+    issue(fsmodel::FsOpType::write, block * kBlock, 6000);
+    issue(fsmodel::FsOpType::write, block * kBlock + 6000, 4000);  // async flush
+    issue(fsmodel::FsOpType::lseek, 0, 0);
+    issue(fsmodel::FsOpType::close, 0, 0);  // flushes the dirty remainder
+  }
+  sim.run();
+}
+
+// The warm syscall pipeline allocates nothing: planning on a warm NfsModel
+// (LRU caches at capacity, per-file maps populated) and running the chains
+// through execute_chain (pooled chain states, inline continuations, the
+// Resource ring queue) make zero heap allocations, misses, queueing and
+// background chains included.
+TEST(Pipeline, WarmNfsPlansAndChainsAllocateNothing) {
+  Simulation sim;
+  fsmodel::NfsModel nfs(sim);
+  std::uint64_t completed = 0;
+  // Warm-up: the caches fill past capacity and the access pattern settles
+  // into its steady state, so every later round has the same shape.
+  for (std::uint64_t round = 0; round < 130; ++round) nfs_round(sim, nfs, round, &completed);
+  const std::uint64_t readaheads = nfs.readahead_count();
+  const std::uint64_t server_misses = nfs.server_cache().misses();
+  const std::uint64_t warm_completed = completed;
+
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (std::uint64_t round = 130; round < 160; ++round) nfs_round(sim, nfs, round, &completed);
+  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(completed - warm_completed, 30u * 48u * 8u);
+  // The measured rounds really exercised misses and read-ahead.
+  EXPECT_GT(nfs.readahead_count(), readaheads);
+  EXPECT_GT(nfs.server_cache().misses(), server_misses);
+  EXPECT_EQ(nfs.client_cache().size(), nfs.client_cache().capacity());
+}
+
+// A log-free warm USIM run stays near allocation-free: what remains per op
+// is session planning (file paths, new inodes, descriptor table nodes).
+TEST(Pipeline, WarmUsimRunAllocatesUnderHalfPerOp) {
+  Simulation sim;
+  fs::SimulatedFileSystem fsys;
+  fsys.set_clock([&sim] { return sim.now(); });
+  fsmodel::NfsModel nfs(sim);
+  core::FscConfig fsc_config;
+  fsc_config.num_users = 4;
+  fsc_config.seed = 5;
+  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
+  const core::CreatedFileSystem manifest = fsc.create();
+
+  auto config_for = [](std::uint64_t seed) {
+    core::UsimConfig config;
+    config.num_users = 4;
+    config.sessions_per_user = 20;
+    config.seed = seed;
+    config.collect_log = false;
+    return config;
+  };
+  // Warm-up run: grows the event arena, chain pool and model caches.
+  core::UserSimulator warm(sim, fsys, nfs, manifest, core::default_population(), config_for(1));
+  warm.run();
+
+  core::UserSimulator usim(sim, fsys, nfs, manifest, core::default_population(), config_for(2));
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  usim.run();
+  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  ASSERT_GT(usim.total_ops(), 1000u);
+  EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(usim.total_ops()), 0.5)
+      << allocs << " allocations over " << usim.total_ops() << " ops";
+}
+
 // Captures above EventFn::kInlineCapacity take the heap fallback but must
 // behave identically.
 TEST(Simulation, LargeCaptureEventsStillRunCorrectly) {
@@ -422,6 +525,152 @@ TEST(Stages, ManyConcurrentChainsOnOneResource) {
   sim.run();
   EXPECT_EQ(completed, n);
   EXPECT_DOUBLE_EQ(sim.now(), static_cast<double>(n));
+}
+
+
+TEST(StageChain, InlineUpToEightStagesThenSpills) {
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  StageChain chain;
+  for (int i = 0; i < 8; ++i) chain.push_back(Stage::make_delay(static_cast<double>(i)));
+  EXPECT_FALSE(chain.spilled());
+  chain.push_back(Stage::make_use(disk, 100.0));
+  EXPECT_TRUE(chain.spilled());
+  ASSERT_EQ(chain.size(), 9u);
+  for (int i = 0; i < 8; ++i) EXPECT_DOUBLE_EQ(chain[static_cast<std::size_t>(i)].duration, i);
+  EXPECT_EQ(chain[8].resource, &disk);
+  EXPECT_DOUBLE_EQ(chain_service_demand(chain), 28.0 + 100.0);
+}
+
+TEST(StageChain, CopyAndMoveKeepStagesInlineAndSpilled) {
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  for (const std::size_t n : {std::size_t{3}, std::size_t{19}}) {
+    StageChain original;
+    for (std::size_t i = 0; i < n; ++i) {
+      original.push_back(i % 2 == 0 ? Stage::make_use(disk, static_cast<double>(i))
+                                    : Stage::make_delay(static_cast<double>(i)));
+    }
+    auto same = [&](const StageChain& c) {
+      ASSERT_EQ(c.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(c[i].kind, original[i].kind);
+        EXPECT_EQ(c[i].resource, original[i].resource);
+        EXPECT_DOUBLE_EQ(c[i].duration, original[i].duration);
+      }
+    };
+    StageChain copy(original);
+    same(copy);
+    EXPECT_EQ(copy.spilled(), n > StageChain::kInlineCapacity);
+
+    StageChain assigned = {Stage::make_delay(1.0)};
+    assigned = original;
+    same(assigned);
+
+    StageChain moved(std::move(copy));
+    same(moved);
+    // A moved-from chain is empty and back on its inline storage.
+    EXPECT_TRUE(copy.empty());     // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(copy.spilled());  // NOLINT(bugprone-use-after-move)
+
+    // Move-assign over a spilled chain, then back over an inline one.
+    StageChain target;
+    for (int i = 0; i < 20; ++i) target.push_back(Stage::make_delay(1.0));
+    target = std::move(moved);
+    same(target);
+    StageChain small = {Stage::make_delay(2.0)};
+    target = std::move(small);
+    ASSERT_EQ(target.size(), 1u);
+    EXPECT_DOUBLE_EQ(target[0].duration, 2.0);
+
+    // Range-for over a const chain.
+    double total = 0.0;
+    const StageChain& view = original;
+    for (const Stage& stage : view) total += stage.duration;
+    EXPECT_DOUBLE_EQ(total, chain_service_demand(original));
+  }
+}
+
+// A 3-block cold NFS read is 1 + 3 x 6 = 19 stages: past the inline buffer,
+// it must still run end to end with the uncontended response equal to its
+// service demand.
+TEST(StageChain, ColdThreeBlockNfsReadSpillsAndCompletes) {
+  Simulation sim;
+  fsmodel::NfsModel nfs(sim);
+  fsmodel::FsOp op;
+  op.type = fsmodel::FsOpType::read;
+  op.file_id = 7;
+  op.offset = 0;
+  op.size = 3 * 8192;
+  op.file_size = 1 << 20;
+  StageChain chain = nfs.plan(op);
+  ASSERT_EQ(chain.size(), 19u);
+  EXPECT_TRUE(chain.spilled());
+  const SimTime demand = chain_service_demand(chain);
+  double elapsed = -1.0;
+  execute_chain(sim, std::move(chain), [&](SimTime t) { elapsed = t; });
+  sim.run();
+  EXPECT_DOUBLE_EQ(elapsed, demand);
+}
+
+// reset() with chains in flight: their pooled states (and the completions
+// they hold) are reclaimed, and an identical second timeline reuses the
+// pool without growing it.
+TEST(StageChain, ResetReclaimsChainsInFlight) {
+  Simulation sim;
+  auto token = std::make_shared<int>(0);
+  auto timeline = [&](std::vector<double>& done) {
+    Resource disk(sim, "disk", 1);
+    for (int i = 0; i < 12; ++i) {
+      execute_chain(sim, {Stage::make_delay(1.0), Stage::make_use(disk, 10.0)},
+                    [&done, &sim, token](SimTime) { done.push_back(sim.now()); });
+    }
+    sim.run_until(35.0);  // three finished, one in service, eight waiting
+  };
+  std::vector<double> first;
+  timeline(first);
+  EXPECT_EQ(first, (std::vector<double>{11.0, 21.0, 31.0}));
+  const std::size_t pool = sim.chain_pool_size();
+  EXPECT_EQ(pool, 12u);
+  EXPECT_GT(token.use_count(), 1);
+  sim.reset();
+  EXPECT_EQ(token.use_count(), 1);  // discarded completions destroyed
+
+  std::vector<double> second;
+  timeline(second);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(sim.chain_pool_size(), pool);
+  sim.reset();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(StageChain, ChainDoneRejectsEmptyCallables) {
+  Simulation sim;
+  std::function<void(SimTime)> empty_fn;
+  EXPECT_THROW(execute_chain(sim, {}, empty_fn), std::invalid_argument);
+  EXPECT_EQ(sim.chain_pool_size(), 0u);
+}
+
+// The FCFS ring queue keeps arrival order across growth and wrap-around.
+TEST(Resource, WaitQueueWrapsAndGrowsInFcfsOrder) {
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  std::vector<int> order;
+  int next_id = 0;
+  // Batches of growing size arrive while earlier ones drain, so the ring
+  // both wraps (head advanced) and grows while wrapped.
+  for (int batch = 0; batch < 6; ++batch) {
+    sim.schedule_at(static_cast<double>(batch) * 25.0, [&, batch] {
+      for (int i = 0; i < 3 + 4 * batch; ++i) {
+        const int id = next_id++;
+        disk.use(10.0, [&order, id] { order.push_back(id); });
+      }
+    });
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(next_id));
+  for (int i = 0; i < next_id; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(disk.queue_length(), 0u);
 }
 
 }  // namespace
