@@ -1,4 +1,5 @@
-// Microbenchmark (google-benchmark): scaling of the two parallel runners.
+// Microbenchmark (google-benchmark): scaling of the two parallel runners,
+// plus the serial post-run tail (log merge, Usage Analyzer).
 //
 // BM_ShardedRunner — wall-clock throughput of the same fixed workload
 // (users x sessions against the NFS model, log collection off) as the
@@ -12,10 +13,13 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
+#include "core/analysis.h"
 #include "runner/contended_runner.h"
+#include "runner/merge.h"
 #include "runner/sharded_runner.h"
 #include "scenario/run.h"
 #include "scenario/spec.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -99,28 +103,68 @@ void BM_ContendedRunner(benchmark::State& state) {
 BENCHMARK(BM_ContendedRunner)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-// Merge overhead in isolation: the (time, user) stable-sort fold over
-// per-user logs, at a size big enough to expose the O(M log M) term.
-void BM_MergeUserLogs(benchmark::State& state) {
-  const std::size_t users = 64;
-  const std::size_t ops_per_user = static_cast<std::size_t>(state.range(0));
-  std::vector<core::UsageLog> prototype(users);
+// Per-user logs shaped like USIM's: each user's records in issue order on a
+// coarse time grid, so cross-user timestamp ties are frequent (and a few
+// within-user ones), several login sessions per user, open/read/write/close
+// over a small per-session file set.  The merge then takes the loser-tree
+// path with no fallback sort, as in a real run.
+constexpr std::size_t kTailUsers = 64;
+
+std::vector<core::UsageLog> issue_ordered_user_logs(std::size_t users,
+                                                    std::size_t ops_per_user) {
+  constexpr fsmodel::FsOpType kCycle[] = {fsmodel::FsOpType::open, fsmodel::FsOpType::read,
+                                          fsmodel::FsOpType::write, fsmodel::FsOpType::close};
+  std::vector<core::UsageLog> logs(users);
   for (std::size_t u = 0; u < users; ++u) {
+    util::RngStream rng(1991, u);
+    double t = 0.0;
     for (std::size_t i = 0; i < ops_per_user; ++i) {
       core::OpRecord r;
-      r.issue_time_us = static_cast<double>(i * 37 % 1000);
+      t += 10.0 * static_cast<double>(rng.uniform_int(0, 3));
+      r.issue_time_us = t;
+      r.response_us = rng.uniform(50.0, 5000.0);
       r.user = static_cast<std::uint32_t>(u);
-      prototype[u].append(r);
+      r.session = static_cast<std::uint32_t>(i * 4 / ops_per_user);
+      r.op = kCycle[i % 4];
+      r.requested_bytes = static_cast<std::uint64_t>(rng.uniform_int(1, 8192));
+      r.actual_bytes = r.requested_bytes;
+      r.file_id = 1000 * u + static_cast<std::uint64_t>(rng.uniform_int(0, 40));
+      r.file_size = 4096 * (r.file_id % 7 + 1);
+      logs[u].append(r);
     }
   }
+  return logs;
+}
+
+// The post-run log merge in isolation: 64 issue-ordered per-user logs
+// through runner::merge_user_logs (one loser-tree merge over in-RAM runs).
+void BM_MergeUserLogs(benchmark::State& state) {
+  const std::size_t ops_per_user = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::UsageLog> prototype =
+      issue_ordered_user_logs(kTailUsers, ops_per_user);
   for (auto _ : state) {
     std::vector<core::UsageLog> logs = prototype;
     benchmark::DoNotOptimize(runner::merge_user_logs(std::move(logs)).size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(users * ops_per_user));
+                          static_cast<std::int64_t>(kTailUsers * ops_per_user));
 }
 BENCHMARK(BM_MergeUserLogs)->Arg(1000);
+
+// The Usage Analyzer's single pass over the same merged log: per-op and
+// per-session accumulation, then the end-of-run sort into session order.
+void BM_UsageAnalyzer(benchmark::State& state) {
+  const std::size_t ops_per_user = static_cast<std::size_t>(state.range(0));
+  const core::UsageLog log =
+      runner::merge_user_logs(issue_ordered_user_logs(kTailUsers, ops_per_user));
+  for (auto _ : state) {
+    const core::UsageAnalyzer analyzer(log);
+    benchmark::DoNotOptimize(analyzer.sessions().size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(log.size()));
+}
+BENCHMARK(BM_UsageAnalyzer)->Arg(1000);
 
 // Scenario-level parallelism: one three-backend sharded scenario, run with a
 // growing --threads budget.  run_scenario fans the independent backends over

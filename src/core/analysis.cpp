@@ -1,6 +1,10 @@
 #include "core/analysis.h"
 
 #include <algorithm>
+#include <array>
+#include <utility>
+
+#include "fsmodel/flat_map.h"
 
 namespace wlgen::core {
 
@@ -13,73 +17,102 @@ UsageAnalyzer::UsageAnalyzer(const UsageLog& log) {
 
 void UsageAnalyzer::consume(LogReader& reader) {
   struct SessionAccumulator {
+    std::uint64_t key = 0;  ///< user << 32 | session
     double start = 0.0;
     double end = 0.0;
     std::uint64_t ops = 0;
     std::uint64_t bytes = 0;
-    bool first = true;
+    std::vector<FileTouch> files;                  ///< first-touch order
+    fsmodel::FlatIdMap<std::uint32_t> file_slot;  ///< file id -> files index + 1
   };
-  std::map<std::pair<std::uint32_t, std::uint32_t>, SessionAccumulator> acc;
+  std::vector<SessionAccumulator> acc;             // first-seen order
+  fsmodel::FlatIdMap<std::uint32_t> session_slot;  // key -> acc index + 1
+  std::array<OpTypeStats, fsmodel::kFsOpTypeCount> per_op;
+
+  const auto touch = [](SessionAccumulator& a, std::uint64_t file_id) -> FileTouch& {
+    std::uint32_t& slot = a.file_slot[file_id];
+    if (slot == 0) {
+      a.files.emplace_back().file_id = file_id;
+      slot = static_cast<std::uint32_t>(a.files.size());
+    }
+    return a.files[slot - 1];
+  };
 
   OpRecord r;
   while (reader.next(r)) {
+    const bool data_op = fsmodel::is_data_op(r.op);
     ++op_count_;
     response_.add(r.response_us);
     response_sum_us_ += r.response_us;
-    auto& op_stats = per_op_[r.op];
+    auto& op_stats = per_op[static_cast<std::size_t>(r.op)];
     op_stats.response_us.add(r.response_us);
-    if (fsmodel::is_data_op(r.op)) {
+    if (data_op) {
       access_size_.add(static_cast<double>(r.actual_bytes));
       data_response_.add(r.response_us);
       op_stats.access_size.add(static_cast<double>(r.actual_bytes));
       data_bytes_ += static_cast<double>(r.actual_bytes);
     }
-    const auto key = std::make_pair(r.user, r.session);
-    auto& a = acc[key];
-    if (a.first) {
-      a.start = r.issue_time_us;
-      a.first = false;
+    const std::uint64_t key = std::uint64_t{r.user} << 32 | r.session;
+    std::uint32_t& slot = session_slot[key];
+    if (slot == 0) {
+      acc.emplace_back();
+      acc.back().key = key;
+      acc.back().start = r.issue_time_us;
+      slot = static_cast<std::uint32_t>(acc.size());
     }
+    SessionAccumulator& a = acc[slot - 1];
     a.start = std::min(a.start, r.issue_time_us);
     a.end = std::max(a.end, r.issue_time_us + r.response_us);
     ++a.ops;
-    if (fsmodel::is_data_op(r.op)) {
+    if (data_op) {
       a.bytes += r.actual_bytes;
-      auto& touch = touches_[key][r.file_id];
-      touch.bytes += r.actual_bytes;
-      touch.file_size = std::max(touch.file_size, r.file_size);
-      touch.category = r.category;
+      FileTouch& t = touch(a, r.file_id);
+      t.bytes += r.actual_bytes;
+      t.file_size = std::max(t.file_size, r.file_size);
+      t.category = r.category;
     } else if (r.op == fsmodel::FsOpType::open || r.op == fsmodel::FsOpType::creat) {
       // Opening counts as referencing the file even if no byte moves.
-      auto& touch = touches_[key][r.file_id];
-      touch.file_size = std::max(touch.file_size, r.file_size);
-      touch.category = r.category;
+      FileTouch& t = touch(a, r.file_id);
+      t.file_size = std::max(t.file_size, r.file_size);
+      t.category = r.category;
     }
   }
 
+  for (std::size_t op = 0; op < per_op.size(); ++op) {
+    if (per_op[op].response_us.count() > 0) {
+      per_op_.emplace(static_cast<fsmodel::FsOpType>(op), per_op[op]);
+    }
+  }
+
+  // Sessions in (user, session) order and files in id order: the orders the
+  // per-session sums and per_category_usage() fold in, so every double is
+  // accumulated exactly as an ordered-map scan would.
+  std::vector<std::pair<std::uint64_t, std::size_t>> order(acc.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) order[i] = {acc[i].key, i};
+  std::sort(order.begin(), order.end());
   sessions_.reserve(acc.size());
-  for (const auto& [key, a] : acc) {
+  touches_.reserve(acc.size());
+  for (const auto& [key, i] : order) {
+    SessionAccumulator& a = acc[i];
+    std::sort(a.files.begin(), a.files.end(),
+              [](const FileTouch& x, const FileTouch& y) { return x.file_id < y.file_id; });
     SessionSummary s;
-    s.user = key.first;
-    s.session = key.second;
+    s.user = static_cast<std::uint32_t>(key >> 32);
+    s.session = static_cast<std::uint32_t>(key);
     s.start_us = a.start;
     s.end_us = a.end;
     s.ops = a.ops;
     s.bytes_accessed = a.bytes;
-    const auto touched = touches_.find(key);
-    if (touched != touches_.end()) {
-      s.files_referenced = touched->second.size();
-      for (const auto& [file, t] : touched->second) {
-        s.total_file_bytes += static_cast<double>(t.file_size);
-      }
-      if (s.files_referenced > 0) {
-        s.mean_file_size = s.total_file_bytes / static_cast<double>(s.files_referenced);
-      }
-      if (s.total_file_bytes > 0.0) {
-        s.access_per_byte = static_cast<double>(s.bytes_accessed) / s.total_file_bytes;
-      }
+    s.files_referenced = a.files.size();
+    for (const FileTouch& t : a.files) s.total_file_bytes += static_cast<double>(t.file_size);
+    if (s.files_referenced > 0) {
+      s.mean_file_size = s.total_file_bytes / static_cast<double>(s.files_referenced);
+    }
+    if (s.total_file_bytes > 0.0) {
+      s.access_per_byte = static_cast<double>(s.bytes_accessed) / s.total_file_bytes;
     }
     sessions_.push_back(s);
+    touches_.push_back(std::move(a.files));
   }
 }
 
@@ -124,9 +157,12 @@ stats::Histogram UsageAnalyzer::session_files_histogram(std::size_t bins) const 
 std::map<std::string, CategoryUsage> UsageAnalyzer::per_category_usage() const {
   std::map<std::string, CategoryUsage> out;
   std::map<std::string, std::size_t> sessions_touching;
-  for (const auto& [key, files] : touches_) {
+  std::size_t touching_any = 0;
+  for (const auto& files : touches_) {
+    if (files.empty()) continue;
+    ++touching_any;
     std::map<std::string, std::size_t> files_in_category;
-    for (const auto& [file, t] : files) {
+    for (const FileTouch& t : files) {
       const std::string label = t.category.label();
       auto& usage = out[label];
       if (t.file_size > 0) {
@@ -141,7 +177,8 @@ std::map<std::string, CategoryUsage> UsageAnalyzer::per_category_usage() const {
       ++sessions_touching[label];
     }
   }
-  const double total_sessions = static_cast<double>(touches_.size());
+  // Over the sessions that referenced at least one file.
+  const double total_sessions = static_cast<double>(touching_any);
   if (total_sessions > 0.0) {
     for (auto& [label, usage] : out) {
       usage.fraction_sessions_touching =

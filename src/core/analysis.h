@@ -47,9 +47,12 @@ struct CategoryUsage {
 ///
 /// Consumes a LogReader in ONE streaming pass — a spilled million-user run
 /// analyzes in bounded memory (per-session accumulators, never the record
-/// vector).  Each accumulator sees records in the same forward order a
-/// per-method scan of a materialized log used to, so every statistic is
-/// bit-identical with the pre-streaming implementation.
+/// vector).  Sessions and each session's touched files are found through
+/// flat hash indexes and accumulated in first-seen order; at the end they
+/// are sorted by (user, session) and by file id, the orders every derived
+/// sum is taken in.  Each accumulator sees records in the same forward
+/// order a per-method scan of a materialized log used to, so every
+/// statistic is bit-identical with the pre-streaming implementation.
 class UsageAnalyzer {
  public:
   explicit UsageAnalyzer(LogReader& reader);
@@ -94,6 +97,7 @@ class UsageAnalyzer {
 
  private:
   struct FileTouch {
+    std::uint64_t file_id = 0;
     std::uint64_t bytes = 0;
     std::uint64_t file_size = 0;
     FileCategory category;
@@ -102,8 +106,9 @@ class UsageAnalyzer {
   void consume(LogReader& reader);
 
   std::vector<SessionSummary> sessions_;
-  // (user, session) -> file id -> touch record; kept for category breakdowns.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::map<std::uint64_t, FileTouch>> touches_;
+  // Files each session referenced, parallel to sessions_ and sorted by file
+  // id; kept for category breakdowns.
+  std::vector<std::vector<FileTouch>> touches_;
   std::size_t op_count_ = 0;
   stats::RunningSummary access_size_;
   stats::RunningSummary response_;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/strings.h"
 
@@ -46,6 +47,16 @@ inline double bits_double(std::uint64_t bits) {
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof v);
   return v;
+}
+
+/// True when the op and category bytes of an encoded record name real
+/// enumerators — decode_record casts them unchecked, and consumers index
+/// arrays by them.
+bool enum_bytes_valid(const unsigned char* in) {
+  return in[24] < fsmodel::kFsOpTypeCount &&
+         in[25] <= static_cast<unsigned char>(FileType::regular) &&
+         in[26] <= static_cast<unsigned char>(FileOwner::other) &&
+         in[27] <= static_cast<unsigned char>(UseMode::temp);
 }
 
 std::string run_file_name(const std::string& stem, std::size_t index) {
@@ -187,6 +198,7 @@ RunFileReader::RunFileReader(const SpillRun& run) : path_(run.path) {
     throw std::runtime_error("RunFileReader: '" + path_ + "' is not a wlgen run file");
   }
   remaining_ = get_u64(header + 8);
+  records_ = remaining_;
   buffer_.resize(kReadChunkRecords * kSpillRecordBytes);
 }
 
@@ -207,7 +219,13 @@ bool RunFileReader::next(OpRecord& out) {
       throw std::runtime_error("RunFileReader: truncated run file '" + path_ + "'");
     }
   }
-  out = decode_record(buffer_.data() + buffer_pos_);
+  const unsigned char* encoded = buffer_.data() + buffer_pos_;
+  if (!enum_bytes_valid(encoded)) {
+    throw std::runtime_error("RunFileReader: run file '" + path_ + "' record " +
+                             std::to_string(records_ - remaining_) +
+                             " has an out-of-range op or category byte");
+  }
+  out = decode_record(encoded);
   buffer_pos_ += kSpillRecordBytes;
   --remaining_;
   return true;

@@ -146,7 +146,9 @@ class MemoryLogReader final : public LogReader {
 };
 
 /// Buffered cursor over one binary run file.  Throws std::runtime_error on
-/// open failure, bad magic, or a truncated file.
+/// open failure, bad magic, a truncated file, or a record whose op or
+/// category byte names no enumerator (the message gives the file and the
+/// record index).
 class RunFileReader final : public LogReader {
  public:
   explicit RunFileReader(const SpillRun& run);
@@ -162,6 +164,7 @@ class RunFileReader final : public LogReader {
   std::vector<unsigned char> buffer_;
   std::size_t buffer_pos_ = 0;   ///< bytes consumed from buffer_
   std::size_t buffer_len_ = 0;   ///< bytes valid in buffer_
+  std::uint64_t records_ = 0;    ///< records the header declares
   std::uint64_t remaining_ = 0;  ///< records left in the file
 };
 

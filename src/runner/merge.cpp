@@ -1,42 +1,50 @@
 #include "runner/merge.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace wlgen::runner {
 
-core::UsageLog merge_user_logs(std::vector<core::UsageLog> per_user) {
+namespace {
+
+bool merge_key_less(const core::OpRecord& a, const core::OpRecord& b) {
+  if (a.issue_time_us != b.issue_time_us) return a.issue_time_us < b.issue_time_us;
+  return a.user < b.user;
+}
+
+}  // namespace
+
+core::UsageLog merge_user_logs(std::vector<core::UsageLog> inputs) {
+  // Each input becomes one sorted in-RAM run of the same loser-tree merge
+  // the spill path drains (core::MergeLogReader).  USIM appends records at
+  // completion, so an input is stable-sorted on the (time, user) key first
+  // when it needs it; stability keeps each user's issue order on full ties.
+  // The merge breaks (time, user) ties across inputs by input index, so the
+  // stream equals a stable sort of the inputs' concatenation, whatever
+  // users each input holds.
   std::size_t total = 0;
-  for (const auto& log : per_user) total += log.size();
+  std::vector<std::unique_ptr<core::LogReader>> runs;
+  runs.reserve(inputs.size());
+  for (core::UsageLog& log : inputs) {
+    auto& records = log.records_mutable();
+    if (!std::is_sorted(records.begin(), records.end(), merge_key_less)) {
+      std::stable_sort(records.begin(), records.end(), merge_key_less);
+    }
+    total += records.size();
+    runs.push_back(std::make_unique<core::MemoryLogReader>(log));
+  }
 
   core::UsageLog merged;
-  auto& records = merged.records_mutable();
-  records.reserve(total);
-  // Concatenate in ascending user order, then stable-sort on the
-  // (time, user) key: stability preserves each user's issue order for
-  // records with equal keys, which is exactly the merge contract.
-  for (auto& log : per_user) {
-    for (auto& r : log.records_mutable()) records.push_back(r);
-    log.clear();
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const core::OpRecord& a, const core::OpRecord& b) {
-                     if (a.issue_time_us != b.issue_time_us) {
-                       return a.issue_time_us < b.issue_time_us;
-                     }
-                     return a.user < b.user;
-                   });
+  merged.records_mutable().reserve(total);
+  core::MergeLogReader merge(std::move(runs));
+  core::OpRecord record;
+  while (merge.next(record)) merged.append(record);
   return merged;
-}
+}  // the inputs are freed here
 
 bool is_merge_ordered(const core::UsageLog& log) {
   const auto& records = log.records();
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    const auto& prev = records[i - 1];
-    const auto& cur = records[i];
-    if (prev.issue_time_us > cur.issue_time_us) return false;
-    if (prev.issue_time_us == cur.issue_time_us && prev.user > cur.user) return false;
-  }
-  return true;
+  return std::is_sorted(records.begin(), records.end(), merge_key_less);
 }
 
 bool is_merge_ordered(core::LogReader& reader) {
@@ -44,8 +52,7 @@ bool is_merge_ordered(core::LogReader& reader) {
   if (!reader.next(prev)) return true;
   core::OpRecord cur;
   while (reader.next(cur)) {
-    if (prev.issue_time_us > cur.issue_time_us) return false;
-    if (prev.issue_time_us == cur.issue_time_us && prev.user > cur.user) return false;
+    if (merge_key_less(cur, prev)) return false;
     prev = cur;
   }
   return true;

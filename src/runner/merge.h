@@ -7,8 +7,9 @@
 
 namespace wlgen::runner {
 
-/// Merges per-user usage logs (indexed by global user, each in issue-time
-/// order) into one log ordered by the runner's merge contract:
+/// Merges usage logs (per-user logs indexed by global user, or per-shard
+/// logs over ascending disjoint user ranges) into one log ordered by the
+/// runner's merge contract:
 ///
 ///   (issue_time_us ascending, user index ascending, per-user issue order)
 ///
@@ -17,7 +18,13 @@ namespace wlgen::runner {
 /// the user's own issue order.  The result is a pure function of the
 /// per-user inputs, so it is bit-identical however those inputs were
 /// produced (1 shard or N, 1 thread or T).
-core::UsageLog merge_user_logs(std::vector<core::UsageLog> per_user);
+///
+/// Each input is one in-RAM run of core::MergeLogReader, the loser tree the
+/// spill path also drains, so both log paths share one merge.  Inputs need
+/// not be sorted (an unsorted one is stable-sorted first); they are
+/// consumed and freed.  Full (time, user) ties across inputs keep input
+/// order, so the stream always equals a stable sort of the concatenation.
+core::UsageLog merge_user_logs(std::vector<core::UsageLog> inputs);
 
 /// True when `log` is non-descending on the (issue_time_us, user) key —
 /// the observable half of the merge contract; exposed for tests and the

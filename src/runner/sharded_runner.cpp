@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/presets.h"
@@ -173,6 +174,7 @@ RunnerResult ShardedRunner::run() {
   const std::size_t num_users = config_.num_users;
   const std::vector<UserRange> ranges = partition_users(num_users, config_.shards);
   const bool spill = config_.spill.enabled;
+  const bool merge_in_memory = config_.collect_log && !spill;
 
   // Open-loop arrivals: one global timeline from the root seed, dealt to
   // users before the pool starts — a pure function of the config, never of
@@ -198,6 +200,7 @@ RunnerResult ShardedRunner::run() {
   std::vector<stats::QuantileSketch> sketches(ranges.size());
   std::vector<std::optional<ShardCheckpoint>> resumed(ranges.size());
   std::vector<char> wrote_ckpt(ranges.size(), 0);
+  std::vector<core::UsageLog> shard_logs(merge_in_memory ? ranges.size() : 0);
   if (spill) {
     std::filesystem::create_directories(config_.spill.spool_dir);
     for (std::size_t s = 0; s < ranges.size(); ++s) {
@@ -268,6 +271,16 @@ RunnerResult ShardedRunner::run() {
         core::OpRecord r;
         while (reader->next(r)) {
           if (cancelled.load(std::memory_order_relaxed)) return;
+          // load_checkpoint checks only run-file sizes, so a same-size
+          // corruption can carry any user id: refuse it before it indexes
+          // the per-user slots.
+          if (r.user < ranges[s].begin || r.user >= ranges[s].end) {
+            throw std::runtime_error(
+                "ShardedRunner: resumed shard " + std::to_string(s) + " (checkpoint '" +
+                checkpoint_path(config_.spill.spool_dir, s) + "') holds a record of user " +
+                std::to_string(r.user) + " outside its range [" +
+                std::to_string(ranges[s].begin) + ", " + std::to_string(ranges[s].end) + ")");
+          }
           outcomes[r.user].stats.add(r);
           sketches[s].add(r.response_us);
           if (collect) samples[r.user].ops.add(r);
@@ -298,6 +311,17 @@ RunnerResult ShardedRunner::run() {
         if (progress) progress->advance(1, outcomes[u].events, outcomes[u].simulated_us);
       }
       if (sink != nullptr) sinks[s]->close();
+      if (merge_in_memory) {
+        // Pre-merge this shard's users on the pool thread: shards own
+        // disjoint ascending user ranges, so the fold below only has to
+        // merge the shard logs to get the exact all-user merge.
+        std::vector<core::UsageLog> user_logs;
+        user_logs.reserve(ranges[s].size());
+        for (std::size_t u = ranges[s].begin; u < ranges[s].end; ++u) {
+          user_logs.push_back(std::move(outcomes[u].log));
+        }
+        shard_logs[s] = merge_user_logs(std::move(user_logs));
+      }
       if (config_.spill.checkpoint) {
         // Reached only when every user in the shard completed (cancellation
         // returns early above), so the checkpoint always describes a whole
@@ -331,16 +355,12 @@ RunnerResult ShardedRunner::run() {
   // shard totals fold afterwards (sums/maxima — grouping-invariant).
   RunnerResult result;
   result.stats = RunnerStats(config_.histogram);
-  const bool merge_in_memory = config_.collect_log && !spill;
-  std::vector<core::UsageLog> user_logs;
-  if (merge_in_memory) user_logs.reserve(num_users);
   for (std::size_t u = 0; u < num_users; ++u) {
     UserOutcome& out = outcomes[u];
     result.stats.merge(out.stats);
     result.total_ops += out.ops;
     result.sessions_completed += out.sessions;
     if (out.simulated_us > result.max_simulated_us) result.max_simulated_us = out.simulated_us;
-    if (merge_in_memory) user_logs.push_back(std::move(out.log));
   }
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     if (!resumed[s].has_value()) continue;
@@ -352,7 +372,7 @@ RunnerResult ShardedRunner::run() {
     }
     result.shards_resumed += 1;
   }
-  if (merge_in_memory) result.log = merge_user_logs(std::move(user_logs));
+  if (merge_in_memory) result.log = merge_user_logs(std::move(shard_logs));
   if (spill) {
     for (std::size_t s = 0; s < ranges.size(); ++s) {
       const auto& shard_runs = resumed[s].has_value() ? resumed[s]->runs : sinks[s]->runs();

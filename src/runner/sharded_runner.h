@@ -191,7 +191,9 @@ struct RunnerResult {
 /// one warm Simulation (clock/arena reset per user).  Merging follows the
 /// merge_user_logs() / RunnerStats contract: fixed ascending-user fold, so
 /// every aggregate — including floating-point reductions — is bit-identical
-/// regardless of K.
+/// regardless of K.  An in-RAM log is merged in two levels: each shard
+/// merges its own users' logs on its worker, then the run merges the shard
+/// logs (exact, because shards own disjoint ascending user ranges).
 class ShardedRunner {
  public:
   explicit ShardedRunner(RunnerConfig config);

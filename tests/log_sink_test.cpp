@@ -266,6 +266,64 @@ TEST(RunFileReader, RejectsBadMagicAndTruncation) {
   std::filesystem::remove_all(dir);
 }
 
+// Overwrites one byte of a run file in place (the file keeps its size, so
+// only record validation can notice).
+void poke_byte(const std::string& path, std::uint64_t offset, unsigned char value) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  std::fputc(value, f);
+  std::fclose(f);
+}
+
+TEST(RunFileReader, RejectsOutOfRangeOpAndCategoryBytes) {
+  const std::string dir = temp_dir("enum_bytes");
+  SpillSink sink(dir, "x", 64);
+  for (int i = 0; i < 10; ++i) sink.append(make_record(0, i, 1.0));
+  sink.close();
+  ASSERT_EQ(sink.runs().size(), 1u);
+  const SpillRun run = sink.runs()[0];
+  const std::string original = [&] {
+    std::FILE* f = std::fopen(run.path.c_str(), "rb");
+    std::string bytes(run.bytes, '\0');
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return bytes;
+  }();
+
+  // Record 6's op byte, then each category byte, one past the last
+  // enumerator and at 0xFF.
+  constexpr std::uint64_t kRecord = 6;
+  const std::uint64_t base = kSpillHeaderBytes + kRecord * kSpillRecordBytes;
+  const struct {
+    std::uint64_t offset;
+    unsigned char value;
+  } flips[] = {{24, static_cast<unsigned char>(fsmodel::kFsOpTypeCount)}, {24, 0xFF},
+               {25, 2}, {25, 0xFF}, {26, 3}, {26, 0xFF}, {27, 4}, {27, 0xFF}};
+  for (const auto& flip : flips) {
+    poke_byte(run.path, base + flip.offset, flip.value);
+    ASSERT_EQ(std::filesystem::file_size(run.path), run.bytes);
+    RunFileReader reader(run);
+    OpRecord r;
+    for (std::uint64_t i = 0; i < kRecord; ++i) ASSERT_TRUE(reader.next(r));
+    try {
+      reader.next(r);
+      ADD_FAILURE() << "byte " << flip.offset << " = " << int{flip.value} << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(run.path), std::string::npos) << message;
+      EXPECT_NE(message.find("record 6"), std::string::npos) << message;
+    }
+    poke_byte(run.path, base + flip.offset,
+              static_cast<unsigned char>(original[base + flip.offset]));
+  }
+
+  // Restored, the file reads through: the check accepts every real value.
+  auto reader = open_spilled_log({run});
+  EXPECT_EQ(materialize(*reader).size(), 10u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TextAdapters, WriteLogTextMatchesSerialize) {
   UsageLog log;
   for (std::uint32_t u = 0; u < 3; ++u) {

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <list>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/analysis.h"
 #include "core/fsc.h"
@@ -15,6 +19,10 @@
 #include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/nfs_model.h"
+#include "runner/merge.h"
+#include "runner/partition.h"
+#include "stats/histogram.h"
+#include "stats/summary.h"
 #include "util/rng.h"
 
 namespace wlgen {
@@ -232,6 +240,389 @@ TEST(FlatIdMapProperty, MatchesStdMap) {
     EXPECT_EQ(map.contains(k << 24), reference.count(k << 24) != 0) << "key " << k;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Log merge: the loser-tree merge_user_logs against the concatenate +
+// global stable_sort it replaced, byte for byte.
+// ---------------------------------------------------------------------------
+
+core::UsageLog reference_merge(const std::vector<core::UsageLog>& inputs) {
+  core::UsageLog merged;
+  auto& records = merged.records_mutable();
+  for (const auto& log : inputs) {
+    records.insert(records.end(), log.records().begin(), log.records().end());
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const core::OpRecord& a, const core::OpRecord& b) {
+                     if (a.issue_time_us != b.issue_time_us) {
+                       return a.issue_time_us < b.issue_time_us;
+                     }
+                     return a.user < b.user;
+                   });
+  return merged;
+}
+
+// Random inputs of five shapes: empty; one user in issue order; one user out
+// of issue order; several users (a shard's pre-merged log, or an arbitrary
+// jumble); users repeat across inputs.  Times come from a handful of values
+// so cross-user ties and full (time, user) ties are common; every record's
+// requested_bytes is a unique tag, so any reordering shows in the text.
+std::vector<core::UsageLog> random_merge_inputs(std::size_t count, std::uint64_t seed) {
+  util::RngStream rng(seed, "merge-property");
+  std::vector<core::UsageLog> inputs(count);
+  std::uint64_t tag = 0;
+  const auto record = [&](std::uint32_t user, double time) {
+    core::OpRecord r;
+    r.issue_time_us = time;
+    r.response_us = rng.uniform(0.0, 50.0);
+    r.user = user;
+    r.session = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    r.requested_bytes = tag++;
+    return r;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::int64_t shape = rng.uniform_int(0, 4);
+    const std::int64_t size = rng.uniform_int(0, 40);
+    const auto user =
+        static_cast<std::uint32_t>(rng.uniform_int(0, 2 * static_cast<std::int64_t>(count)));
+    auto& records = inputs[i].records_mutable();
+    if (shape == 0) continue;
+    double time = 0.0;
+    for (std::int64_t j = 0; j < size; ++j) {
+      if (shape == 1) {  // one user, issue order, long runs of equal times
+        time += 0.5 * static_cast<double>(rng.uniform_int(0, 1));
+        records.push_back(record(user, time));
+      } else if (shape == 2) {  // one user, completion order
+        records.push_back(record(user, 0.5 * static_cast<double>(rng.uniform_int(0, 12))));
+      } else if (shape == 3) {  // several users, sorted like a pre-merged shard
+        records.push_back(record(user + static_cast<std::uint32_t>(rng.uniform_int(0, 3)),
+                                 0.5 * static_cast<double>(rng.uniform_int(0, 12))));
+      } else {  // several users, no order at all
+        records.push_back(record(static_cast<std::uint32_t>(rng.uniform_int(0, 5)),
+                                 0.5 * static_cast<double>(rng.uniform_int(0, 12))));
+      }
+    }
+    if (shape == 3) inputs[i] = reference_merge({inputs[i]});
+  }
+  return inputs;
+}
+
+struct MergeCase {
+  std::size_t inputs;
+  std::uint64_t seed;
+};
+
+class MergeProperty : public ::testing::TestWithParam<MergeCase> {};
+
+TEST_P(MergeProperty, MatchesConcatenateAndStableSortByteForByte) {
+  const auto [count, seed] = GetParam();
+  std::vector<core::UsageLog> inputs = random_merge_inputs(count, seed);
+  const std::string expected = reference_merge(inputs).serialize();
+  const core::UsageLog merged = runner::merge_user_logs(std::move(inputs));
+  EXPECT_EQ(merged.serialize(), expected);
+  EXPECT_TRUE(runner::is_merge_ordered(merged));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, MergeProperty,
+    ::testing::Values(MergeCase{0, 1}, MergeCase{1, 2}, MergeCase{1, 3}, MergeCase{2, 4},
+                      MergeCase{7, 5}, MergeCase{64, 6}, MergeCase{257, 7},
+                      MergeCase{257, 8}),
+    [](const auto& info) {
+      return "k" + std::to_string(info.param.inputs) + "_seed" + std::to_string(info.param.seed);
+    });
+
+// The runner's two-level merge (each shard merges its users, then the shard
+// logs merge) against the flat one-level merge over the same per-user logs.
+TEST(MergeProperty, ShardPreMergeEqualsFlatMerge) {
+  util::RngStream rng(4242, "merge-two-level");
+  std::vector<core::UsageLog> per_user(23);
+  for (std::uint32_t u = 0; u < per_user.size(); ++u) {
+    for (int j = 0; j < 30; ++j) {
+      core::OpRecord r;
+      r.issue_time_us = static_cast<double>(rng.uniform_int(0, 9));  // completion order
+      r.user = u;
+      r.requested_bytes = u * 100u + static_cast<std::uint32_t>(j);
+      per_user[u].append(r);
+    }
+  }
+  const std::string expected = reference_merge(per_user).serialize();
+  for (std::size_t shards : {1u, 4u, 23u}) {
+    std::vector<core::UsageLog> shard_logs;
+    for (const runner::UserRange& range : runner::partition_users(per_user.size(), shards)) {
+      std::vector<core::UsageLog> users(
+          per_user.begin() + static_cast<std::ptrdiff_t>(range.begin),
+          per_user.begin() + static_cast<std::ptrdiff_t>(range.end));
+      shard_logs.push_back(runner::merge_user_logs(std::move(users)));
+    }
+    EXPECT_EQ(runner::merge_user_logs(std::move(shard_logs)).serialize(), expected)
+        << shards << " shards";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Usage analyzer: the flat single pass against the ordered-map analyzer it
+// replaced, compared as exact doubles on every output.
+// ---------------------------------------------------------------------------
+
+// The std::map-based analyzer, verbatim in its arithmetic and fold orders.
+struct ReferenceAnalysis {
+  struct Touch {
+    std::uint64_t bytes = 0;
+    std::uint64_t file_size = 0;
+    core::FileCategory category;
+  };
+  using Key = std::pair<std::uint32_t, std::uint32_t>;
+
+  std::vector<core::SessionSummary> sessions;
+  std::map<Key, std::map<std::uint64_t, Touch>> touches;
+  std::size_t op_count = 0;
+  stats::RunningSummary access_size;
+  stats::RunningSummary response;
+  stats::RunningSummary data_response;
+  std::map<fsmodel::FsOpType, core::OpTypeStats> per_op;
+  double response_sum_us = 0.0;
+  double data_bytes = 0.0;
+
+  explicit ReferenceAnalysis(const core::UsageLog& log) {
+    struct Acc {
+      double start = 0.0;
+      double end = 0.0;
+      std::uint64_t ops = 0;
+      std::uint64_t bytes = 0;
+      bool first = true;
+    };
+    std::map<Key, Acc> acc;
+    for (const core::OpRecord& r : log.records()) {
+      ++op_count;
+      response.add(r.response_us);
+      response_sum_us += r.response_us;
+      auto& op_stats = per_op[r.op];
+      op_stats.response_us.add(r.response_us);
+      if (fsmodel::is_data_op(r.op)) {
+        access_size.add(static_cast<double>(r.actual_bytes));
+        data_response.add(r.response_us);
+        op_stats.access_size.add(static_cast<double>(r.actual_bytes));
+        data_bytes += static_cast<double>(r.actual_bytes);
+      }
+      const Key key{r.user, r.session};
+      auto& a = acc[key];
+      if (a.first) {
+        a.start = r.issue_time_us;
+        a.first = false;
+      }
+      a.start = std::min(a.start, r.issue_time_us);
+      a.end = std::max(a.end, r.issue_time_us + r.response_us);
+      ++a.ops;
+      if (fsmodel::is_data_op(r.op)) {
+        a.bytes += r.actual_bytes;
+        auto& touch = touches[key][r.file_id];
+        touch.bytes += r.actual_bytes;
+        touch.file_size = std::max(touch.file_size, r.file_size);
+        touch.category = r.category;
+      } else if (r.op == fsmodel::FsOpType::open || r.op == fsmodel::FsOpType::creat) {
+        auto& touch = touches[key][r.file_id];
+        touch.file_size = std::max(touch.file_size, r.file_size);
+        touch.category = r.category;
+      }
+    }
+    for (const auto& [key, a] : acc) {
+      core::SessionSummary s;
+      s.user = key.first;
+      s.session = key.second;
+      s.start_us = a.start;
+      s.end_us = a.end;
+      s.ops = a.ops;
+      s.bytes_accessed = a.bytes;
+      const auto touched = touches.find(key);
+      if (touched != touches.end()) {
+        s.files_referenced = touched->second.size();
+        for (const auto& [file, t] : touched->second) {
+          s.total_file_bytes += static_cast<double>(t.file_size);
+        }
+        if (s.files_referenced > 0) {
+          s.mean_file_size = s.total_file_bytes / static_cast<double>(s.files_referenced);
+        }
+        if (s.total_file_bytes > 0.0) {
+          s.access_per_byte = static_cast<double>(s.bytes_accessed) / s.total_file_bytes;
+        }
+      }
+      sessions.push_back(s);
+    }
+  }
+
+  std::map<std::string, core::CategoryUsage> per_category_usage() const {
+    std::map<std::string, core::CategoryUsage> out;
+    std::map<std::string, std::size_t> sessions_touching;
+    for (const auto& [key, files] : touches) {
+      std::map<std::string, std::size_t> files_in_category;
+      for (const auto& [file, t] : files) {
+        const std::string label = t.category.label();
+        auto& usage = out[label];
+        if (t.file_size > 0) {
+          usage.access_per_byte.add(static_cast<double>(t.bytes) /
+                                    static_cast<double>(t.file_size));
+          usage.file_size.add(static_cast<double>(t.file_size));
+        }
+        ++files_in_category[label];
+      }
+      for (const auto& [label, count] : files_in_category) {
+        out[label].files_per_session.add(static_cast<double>(count));
+        ++sessions_touching[label];
+      }
+    }
+    const double total_sessions = static_cast<double>(touches.size());
+    if (total_sessions > 0.0) {
+      for (auto& [label, usage] : out) {
+        usage.fraction_sessions_touching =
+            static_cast<double>(sessions_touching[label]) / total_sessions;
+      }
+    }
+    return out;
+  }
+
+  stats::Histogram histogram(double core::SessionSummary::*field, bool referenced_only,
+                             std::size_t bins) const {
+    std::vector<double> values;
+    for (const auto& s : sessions) {
+      if (!referenced_only || s.files_referenced > 0) values.push_back(s.*field);
+    }
+    if (values.empty()) return stats::Histogram(0.0, 1.0, bins);
+    return stats::Histogram::from_data(values, bins);
+  }
+};
+
+// Exact equality including the sign of zero (and NaN payloads).
+void expect_same_double(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << what << ": " << a << " vs " << b;
+}
+
+void expect_same_summary(const stats::RunningSummary& a, const stats::RunningSummary& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.count(), b.count()) << what;
+  if (a.count() == 0) return;
+  expect_same_double(a.mean(), b.mean(), what + " mean");
+  expect_same_double(a.variance(), b.variance(), what + " variance");
+  expect_same_double(a.min(), b.min(), what + " min");
+  expect_same_double(a.max(), b.max(), what + " max");
+}
+
+void expect_same_histogram(const stats::Histogram& a, const stats::Histogram& b,
+                           const std::string& what) {
+  expect_same_double(a.low(), b.low(), what + " low");
+  expect_same_double(a.high(), b.high(), what + " high");
+  EXPECT_EQ(a.total(), b.total()) << what;
+  ASSERT_EQ(a.counts().size(), b.counts().size()) << what;
+  for (std::size_t i = 0; i < a.counts().size(); ++i) {
+    expect_same_double(a.counts()[i], b.counts()[i], what + " bin " + std::to_string(i));
+  }
+}
+
+// Interleaved users and sessions, every op type (open/creat often with no
+// data op after them), zero-size files, a small file-id pool so files recur
+// across sessions and users, and issue times in no particular order.
+core::UsageLog random_analyzer_log(std::uint64_t seed, std::size_t records) {
+  util::RngStream rng(seed, "analyzer-property");
+  core::UsageLog log;
+  for (std::size_t i = 0; i < records; ++i) {
+    core::OpRecord r;
+    r.issue_time_us = rng.uniform(0.0, 1e6);
+    if (rng.uniform_int(0, 9) == 0) r.issue_time_us = std::floor(r.issue_time_us / 1e5);
+    r.response_us = rng.uniform(0.0, 2e4);
+    r.user = static_cast<std::uint32_t>(rng.uniform_int(0, 6));
+    r.session = static_cast<std::uint32_t>(rng.uniform_int(0, 4));
+    r.op = static_cast<fsmodel::FsOpType>(
+        rng.uniform_int(0, static_cast<std::int64_t>(fsmodel::kFsOpTypeCount) - 1));
+    r.requested_bytes = static_cast<std::uint64_t>(rng.uniform_int(0, 8192));
+    r.actual_bytes = rng.uniform_int(0, 4) == 0 ? 0 : r.requested_bytes / 2;
+    r.file_id = static_cast<std::uint64_t>(rng.uniform_int(1, 24)) << 20;
+    r.file_size =
+        rng.uniform_int(0, 3) == 0 ? 0 : static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
+    r.category.file_type = static_cast<core::FileType>(rng.uniform_int(0, 1));
+    r.category.owner = static_cast<core::FileOwner>(rng.uniform_int(0, 2));
+    r.category.use = static_cast<core::UseMode>(rng.uniform_int(0, 3));
+    log.append(r);
+  }
+  return log;
+}
+
+class AnalyzerProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AnalyzerProperty, FlatPassMatchesOrderedMapReferenceExactly) {
+  const std::size_t records = GetParam() == 1 ? 0 : 200 * GetParam();
+  const core::UsageLog log = random_analyzer_log(GetParam(), records);
+  const core::UsageAnalyzer analyzer(log);
+  const ReferenceAnalysis reference(log);
+
+  EXPECT_EQ(analyzer.op_count(), reference.op_count);
+  ASSERT_EQ(analyzer.sessions().size(), reference.sessions.size());
+  for (std::size_t i = 0; i < reference.sessions.size(); ++i) {
+    const core::SessionSummary& a = analyzer.sessions()[i];
+    const core::SessionSummary& b = reference.sessions[i];
+    const std::string where = "session " + std::to_string(i);
+    EXPECT_EQ(a.user, b.user) << where;
+    EXPECT_EQ(a.session, b.session) << where;
+    expect_same_double(a.start_us, b.start_us, where + " start");
+    expect_same_double(a.end_us, b.end_us, where + " end");
+    EXPECT_EQ(a.ops, b.ops) << where;
+    EXPECT_EQ(a.bytes_accessed, b.bytes_accessed) << where;
+    EXPECT_EQ(a.files_referenced, b.files_referenced) << where;
+    expect_same_double(a.total_file_bytes, b.total_file_bytes, where + " total_file_bytes");
+    expect_same_double(a.mean_file_size, b.mean_file_size, where + " mean_file_size");
+    expect_same_double(a.access_per_byte, b.access_per_byte, where + " access_per_byte");
+  }
+
+  expect_same_summary(analyzer.access_size_stats(), reference.access_size, "access size");
+  expect_same_summary(analyzer.response_stats(), reference.response, "response");
+  expect_same_summary(analyzer.data_response_stats(), reference.data_response, "data response");
+  expect_same_double(analyzer.response_per_byte_us(),
+                     reference.data_bytes > 0.0 ? reference.response_sum_us / reference.data_bytes
+                                                : 0.0,
+                     "response per byte");
+
+  ASSERT_EQ(analyzer.per_op_stats().size(), reference.per_op.size());
+  for (const auto& [op, expected] : reference.per_op) {
+    const auto it = analyzer.per_op_stats().find(op);
+    ASSERT_NE(it, analyzer.per_op_stats().end()) << fsmodel::to_string(op);
+    expect_same_summary(it->second.access_size, expected.access_size,
+                        std::string(fsmodel::to_string(op)) + " access size");
+    expect_same_summary(it->second.response_us, expected.response_us,
+                        std::string(fsmodel::to_string(op)) + " response");
+  }
+
+  const auto usage = analyzer.per_category_usage();
+  const auto expected_usage = reference.per_category_usage();
+  ASSERT_EQ(usage.size(), expected_usage.size());
+  for (const auto& [label, expected] : expected_usage) {
+    const auto it = usage.find(label);
+    ASSERT_NE(it, usage.end()) << label;
+    expect_same_summary(it->second.access_per_byte, expected.access_per_byte, label + " apb");
+    expect_same_summary(it->second.file_size, expected.file_size, label + " file size");
+    expect_same_summary(it->second.files_per_session, expected.files_per_session,
+                        label + " files per session");
+    expect_same_double(it->second.fraction_sessions_touching,
+                       expected.fraction_sessions_touching, label + " fraction");
+  }
+
+  for (std::size_t bins : {7u, 30u}) {
+    expect_same_histogram(analyzer.session_access_per_byte_histogram(bins),
+                          reference.histogram(&core::SessionSummary::access_per_byte, true, bins),
+                          "access-per-byte histogram");
+    expect_same_histogram(analyzer.session_file_size_histogram(bins),
+                          reference.histogram(&core::SessionSummary::mean_file_size, true, bins),
+                          "file-size histogram");
+    std::vector<double> files;
+    for (const auto& s : reference.sessions) {
+      files.push_back(static_cast<double>(s.files_referenced));
+    }
+    expect_same_histogram(analyzer.session_files_histogram(bins),
+                          files.empty() ? stats::Histogram(0.0, 1.0, bins)
+                                        : stats::Histogram::from_data(files, bins),
+                          "files histogram");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzerProperty, ::testing::Values(1, 2, 3, 5, 8, 13, 21));
 
 // ---------------------------------------------------------------------------
 // File-system fuzz against a size-tracking reference model.

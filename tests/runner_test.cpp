@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <set>
 
@@ -447,6 +448,54 @@ TEST(ShardedRunnerSpill, ResumeRejectsAForeignFingerprint) {
   ShardedRunner resumed(other);
   EXPECT_THROW(resumed.run(), std::runtime_error);
   std::filesystem::remove_all(spool);
+}
+
+// Overwrites `bytes` at `offset` of a file in place, keeping its size — the
+// corruption a checkpoint's size check cannot see.
+void overwrite_in_place(const std::string& path, std::uint64_t offset,
+                        const std::vector<unsigned char>& bytes) {
+  const auto size = std::filesystem::file_size(path);
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  ASSERT_EQ(std::filesystem::file_size(path), size);
+}
+
+TEST(ShardedRunnerSpill, ResumeRejectsCorruptedRunRecords) {
+  // Each case corrupts one record of shard 1's first run, then resumes.
+  struct Corruption {
+    const char* name;
+    std::uint64_t field_offset;
+    std::vector<unsigned char> bytes;
+  };
+  const std::vector<Corruption> cases = {
+      {"user far outside every shard", 16, {0xF0, 0xFF, 0xFF, 0x7F}},
+      {"user of another shard", 16, {0, 0, 0, 0}},
+      {"op byte", 24, {0xEE}},
+      {"category byte", 26, {0x09}},
+  };
+  for (const Corruption& c : cases) {
+    const std::string spool = fresh_spool("corrupt_resume");
+    RunnerConfig config = spill_config(6, 3, 2, spool);
+    config.spill.checkpoint = true;
+    // The replay also indexes the per-user obs slots; the runner itself
+    // never writes the metrics file.
+    config.obs.metrics_file = spool + "/metrics.json";
+    ShardedRunner first(config);
+    first.run();
+    const std::string run_path = spool + "/shard000001_run000000.wlr";
+    ASSERT_GE(std::filesystem::file_size(run_path),
+              core::kSpillHeaderBytes + 2 * core::kSpillRecordBytes);
+    overwrite_in_place(run_path,
+                       core::kSpillHeaderBytes + core::kSpillRecordBytes + c.field_offset, c.bytes);
+
+    config.spill.resume = true;
+    ShardedRunner resumed(config);
+    EXPECT_THROW(resumed.run(), std::runtime_error) << c.name;
+    std::filesystem::remove_all(spool);
+  }
 }
 
 TEST(ShardedRunnerSpill, ValidatesSpillConfiguration) {
