@@ -1,13 +1,15 @@
 // Microbenchmarks (google-benchmark): throughput of the hot paths every
 // experiment leans on — distribution sampling, CDF-table lookup, the DES
-// event loop, resource queueing, the simulated file system, and the LRU
-// caches.
+// event loop, resource queueing, the simulated file system, the File
+// System Creator, and the LRU caches.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "bench_main.h"
+#include "core/fsc.h"
+#include "core/presets.h"
 #include "dist/basic.h"
 #include "dist/cdf_table.h"
 #include "dist/multistage_gamma.h"
@@ -384,6 +386,26 @@ void BM_FsPathResolutionDeep(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(fsys.stat(file));
 }
 BENCHMARK(BM_FsPathResolutionDeep);
+
+// One FSC universe build per iteration on a fresh file system, as every
+// runner builds a user's (or a replication's) universe: directories made
+// once, then open_at + write + close per file through the directory handle.
+// Arg = users; items = files created.
+void BM_FscCreate(benchmark::State& state) {
+  const auto profiles = core::di86_file_profiles();
+  core::FscConfig config;
+  config.num_users = static_cast<std::size_t>(state.range(0));
+  std::size_t files = 0;
+  for (auto _ : state) {
+    fs::SimulatedFileSystem fsys;
+    core::FileSystemCreator fsc(fsys, profiles, config);
+    const core::CreatedFileSystem manifest = fsc.create();
+    files += manifest.file_count();
+    benchmark::DoNotOptimize(manifest.files().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(files));
+}
+BENCHMARK(BM_FscCreate)->Arg(1)->Arg(16);
 
 void BM_LruCacheAccess(benchmark::State& state) {
   fsmodel::LruCache cache(static_cast<std::size_t>(state.range(0)));

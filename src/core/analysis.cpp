@@ -4,7 +4,7 @@
 #include <array>
 #include <utility>
 
-#include "fsmodel/flat_map.h"
+#include "util/flat_map.h"
 
 namespace wlgen::core {
 
@@ -22,11 +22,11 @@ void UsageAnalyzer::consume(LogReader& reader) {
     double end = 0.0;
     std::uint64_t ops = 0;
     std::uint64_t bytes = 0;
-    std::vector<FileTouch> files;                  ///< first-touch order
-    fsmodel::FlatIdMap<std::uint32_t> file_slot;  ///< file id -> files index + 1
+    std::vector<FileTouch> files;               ///< first-touch order
+    util::FlatIdMap<std::uint32_t> file_slot;  ///< file id -> files index + 1
   };
-  std::vector<SessionAccumulator> acc;             // first-seen order
-  fsmodel::FlatIdMap<std::uint32_t> session_slot;  // key -> acc index + 1
+  std::vector<SessionAccumulator> acc;          // first-seen order
+  util::FlatIdMap<std::uint32_t> session_slot;  // key -> acc index + 1
   std::array<OpTypeStats, fsmodel::kFsOpTypeCount> per_op;
 
   const auto touch = [](SessionAccumulator& a, std::uint64_t file_id) -> FileTouch& {

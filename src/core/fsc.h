@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/workload.h"
 #include "fs/filesystem.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace wlgen::core {
@@ -51,10 +53,13 @@ class CreatedFileSystem {
   void set_user_count(std::size_t users) { user_count_ = users; }
 
  private:
-  using PoolKey = std::pair<std::size_t, std::size_t>;  // (category index, user or system)
+  /// The pool_slot_ key of (category, owner): one key space per owner, the
+  /// shared system owner first.
+  static std::uint64_t pool_key(std::size_t category_index, std::size_t owner);
 
   std::vector<CreatedFile> files_;
-  std::map<PoolKey, std::vector<std::size_t>> pools_;
+  std::vector<std::vector<std::size_t>> pools_;
+  util::FlatIdMap<std::uint32_t> pool_slot_;  ///< pool_key -> pools_ index
   std::size_t user_count_ = 0;
   static const std::vector<std::size_t> kEmptyPool;
 };
@@ -100,10 +105,25 @@ class FileSystemCreator {
   const FscConfig& config() const { return config_; }
 
  private:
+  /// A directory the build creates files in: its handle and its path.
+  struct Dir {
+    fs::InodeId inode = 0;
+    std::string path;
+  };
+  /// A regular-file profile with its lower-cased file-name stem.
+  struct Stemmed {
+    const FileCategoryProfile* profile = nullptr;
+    std::string stem;  ///< "reg_user_rdonly" for REG/USER/RDONLY
+  };
+
   std::uint64_t sample_size(const FileCategoryProfile& profile, util::RngStream& rng);
-  void create_regular(CreatedFileSystem& out, const FileCategoryProfile& profile,
-                      const std::string& dir, std::size_t owner_user, std::size_t ordinal,
-                      util::RngStream& rng);
+  /// mkdir_at, tolerating a directory that already exists.
+  Dir make_dir(const Dir& parent, std::string_view name);
+  /// Creates `count` files over `dirs`, each drawing its profile, directory
+  /// and size from `rng` (in that order).
+  void create_files(CreatedFileSystem& out, const std::vector<Stemmed>& profiles,
+                    std::span<const Dir> dirs, std::size_t count, std::size_t owner_user,
+                    util::RngStream& rng);
 
   fs::SimulatedFileSystem& fsys_;
   std::vector<FileCategoryProfile> profiles_;

@@ -20,11 +20,20 @@ std::uint64_t at_least_one(double sampled) {
 }  // namespace
 
 /// One file's worth of planned work inside a session.
+///
+/// Files are addressed by handle, never by path: a pre-created file by its
+/// inode, a file the session creates by (directory inode, leaf name).  That
+/// is exact because nothing unlinks or renames an FSC entry during a run —
+/// the only unlinks are of this USIM's own "tmp_<n>" files, and neither
+/// "new_<n>" nor "tmp_<n>" can collide with an FSC name (a lower-cased
+/// category stem such as "reg_user_rdonly_<n>") — so every path a run
+/// would resolve names the same inode for the whole run.
 struct UserSimulator::WorkItem {
   enum class State { need_creat, need_stat, need_open, active, need_close, need_unlink, done };
 
   FileCategory category;
-  std::string path;
+  fs::InodeId dir = 0;  ///< directory of a file this item creates
+  std::string leaf;     ///< its name there ("new_<n>", "tmp_<n>")
   std::uint64_t inode = 0;
   std::uint64_t file_size = 0;     ///< logical size as the item progresses
   std::uint64_t bytes_target = 0;  ///< accesses-per-byte * file size
@@ -198,19 +207,22 @@ double UserSimulator::sample_think(UserState& user) {
   return scaled < 0.0 ? 0.0 : scaled;
 }
 
-std::string UserSimulator::new_file_path(UserState& user, UseMode use) {
-  const char* stem = use == UseMode::temp ? "tmp" : "new";
+void UserSimulator::place_new_file(UserState& user, UseMode use, WorkItem& item) {
   // Scatter new files across the user's directories so no single directory
   // balloons over hundreds of sessions.
-  std::string dir = CreatedFileSystem::user_dir(user.index);
   const FileCategory user_dirs{FileType::directory, FileOwner::user, UseMode::read_only};
   const auto& pool = manifest_.pool(user_dirs, user.index);
   if (!pool.empty()) {
     const std::size_t pick = static_cast<std::size_t>(
         user.rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
-    dir = manifest_.files()[pool[pick]].path;
+    item.dir = manifest_.files()[pool[pick]].inode;
+  } else {
+    // A manifest without directories (hand-built): the user's home, if any.
+    const auto home = fsys_.stat(CreatedFileSystem::user_dir(user.index));
+    item.dir = home.ok() ? home.value().inode : 0;
   }
-  return dir + "/" + stem + "_" + std::to_string(user.new_file_counter++);
+  item.leaf = use == UseMode::temp ? "tmp_" : "new_";
+  item.leaf += std::to_string(user.new_file_counter++);
 }
 
 bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
@@ -230,7 +242,7 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
       const bool creates_file =
           profile.category.use == UseMode::new_file || profile.category.use == UseMode::temp;
       if (creates_file) {
-        item.path = new_file_path(user, profile.category.use);
+        place_new_file(user, profile.category.use, item);
         item.write_target = at_least_one(draws.file_size.next(user.rng));
         item.file_size = 0;
         item.bytes_target =
@@ -253,10 +265,8 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
           pick = static_cast<std::size_t>(
               user.rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
         }
-        const CreatedFile& file = manifest_.files()[pool[pick]];
-        item.path = file.path;
         // Re-stat: earlier sessions may have grown/shrunk the file.
-        const auto st = fsys_.stat(file.path);
+        const auto st = fsys_.stat(manifest_.files()[pool[pick]].inode);
         if (!st.ok()) continue;  // raced with nothing in this design, but be safe
         item.inode = st.value().inode;
         item.file_size = st.value().size;
@@ -271,7 +281,7 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
         // No pre-created file to touch (tiny FSC configuration): materialise
         // one, as the paper's generator also "only creates those files which
         // may be accessed".
-        item.path = new_file_path(user, UseMode::new_file);
+        place_new_file(user, UseMode::new_file, item);
         item.write_target = at_least_one(draws.file_size.next(user.rng));
         item.file_size = 0;
         item.bytes_target =
@@ -421,7 +431,8 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
       // creat(2) semantics give a write-only descriptor; the generator later
       // re-reads what it wrote (accesses-per-byte > 1), so it creates with
       // O_RDWR|O_CREAT|O_TRUNC the way real programs that reread do.
-      const auto fd = fsys_.open(item.path, fs::kRead | fs::kWrite | fs::kCreate | fs::kTruncate);
+      const auto fd =
+          fsys_.open_at(item.dir, item.leaf, fs::kRead | fs::kWrite | fs::kCreate | fs::kTruncate);
       if (!fd.ok()) {
         item.state = WorkItem::State::done;  // cannot create (e.g. no space)
         issue_next_op(user, slot);
@@ -442,7 +453,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
     case WorkItem::State::need_open: {
       unsigned flags = fs::kRead;
       if (item.category.use == UseMode::read_write) flags |= fs::kWrite;
-      const auto fd = fsys_.open(item.path, flags);
+      const auto fd = fsys_.open(item.inode, flags);
       if (!fd.ok()) {
         item.state = WorkItem::State::done;
         issue_next_op(user, slot);
@@ -464,7 +475,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
       return;
     }
     case WorkItem::State::need_unlink: {
-      fsys_.unlink(item.path);
+      fsys_.unlink_at(item.dir, item.leaf);
       item.state = WorkItem::State::done;
       issue(user, slot, item, fsmodel::FsOpType::unlink, 0, 0);
       return;

@@ -195,7 +195,8 @@ class UserSimulator {
              std::uint64_t requested, std::uint64_t actual);
   void complete_op(SessionSlot& slot, double elapsed);
   double sample_think(UserState& user);
-  std::string new_file_path(UserState& user, UseMode use);
+  /// Picks the directory and leaf name of a file `item` will create.
+  void place_new_file(UserState& user, UseMode use, WorkItem& item);
 
   sim::Simulation& sim_;
   fs::SimulatedFileSystem& fsys_;

@@ -50,6 +50,9 @@ struct FileCategory {
 
   /// Stable small integer for indexing (file_type*12 + owner*4 + use).
   std::size_t index() const;
+
+  /// Number of distinct index() values.
+  static constexpr std::size_t kCount = 24;
 };
 
 /// Per-category description of the *initial file system* — a row of paper

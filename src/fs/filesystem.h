@@ -3,18 +3,22 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "fs/path.h"
 #include "fs/status.h"
+#include "util/flat_map.h"
 
 namespace wlgen::fs {
 
 /// Inode number; root is always inode 1.
 using InodeId = std::uint64_t;
+
+/// The root directory's inode.
+inline constexpr InodeId kRootInode = 1;
 
 /// File descriptor handle (>= 0 when valid).
 using Fd = int;
@@ -70,6 +74,14 @@ enum class Seek { set, cur, end };
 ///
 /// Timing intentionally lives elsewhere (fsmodel): this class answers *what
 /// happens*, the models answer *how long it takes*.
+///
+/// open, stat, unlink and mkdir also come in handle-addressed forms —
+/// open(InodeId), open_at(dir, name), stat(InodeId), unlink_at, mkdir_at,
+/// plus lookup — and their path forms are a path walk (resolve /
+/// resolve_parent) followed by the handle call, so each syscall's rules live
+/// in one place.  link, rename, rmdir and truncate are path-only.  Inode ids
+/// are handed out monotonically from 2 and never reused: a handle to a
+/// collected inode answers not_found forever, exactly as its old path would.
 class SimulatedFileSystem {
  public:
   struct Options {
@@ -99,6 +111,15 @@ class SimulatedFileSystem {
   /// creat(2): open with kWrite|kCreate|kTruncate.
   Result<Fd> creat(const std::string& path);
 
+  /// Opens an existing inode by handle (not_found once it is collected).
+  Result<Fd> open(InodeId inode, unsigned flags);
+
+  /// Opens entry `name` of directory `dir`; kCreate creates a missing
+  /// regular file and kTruncate truncates, as open(path) does.  `name` is a
+  /// single component: empty, ".", ".." or a name holding '/' is
+  /// invalid_argument.
+  Result<Fd> open_at(InodeId dir, std::string_view name, unsigned flags);
+
   /// Closes a descriptor.
   FsStatus close(Fd fd);
 
@@ -122,11 +143,17 @@ class SimulatedFileSystem {
   /// Removes a directory entry; the inode survives while still open.
   FsStatus unlink(const std::string& path);
 
+  /// unlink(2) of entry `name` in directory `dir`.
+  FsStatus unlink_at(InodeId dir, std::string_view name);
+
   /// link(2): creates a second directory entry for an existing regular file.
   FsStatus link(const std::string& existing, const std::string& link_path);
 
   /// Creates a directory (parents must exist).
   FsStatus mkdir(const std::string& path);
+
+  /// Creates directory `name` in directory `dir`; returns its inode.
+  Result<InodeId> mkdir_at(InodeId dir, std::string_view name);
 
   /// Creates all missing ancestors then the directory itself.
   FsStatus mkdir_recursive(const std::string& path);
@@ -140,6 +167,12 @@ class SimulatedFileSystem {
 
   /// Metadata by path.
   Result<FileStat> stat(const std::string& path) const;
+
+  /// Metadata by handle (not_found once the inode is collected).
+  Result<FileStat> stat(InodeId inode) const;
+
+  /// The inode entry `name` of directory `dir` names (one path step).
+  Result<InodeId> lookup(InodeId dir, std::string_view name) const;
 
   /// Metadata by descriptor.
   Result<FileStat> fstat(Fd fd) const;
@@ -162,16 +195,22 @@ class SimulatedFileSystem {
   std::size_t regular_file_count() const;
   std::size_t directory_count() const;
   std::size_t open_descriptor_count() const { return open_files_.size(); }
-  std::size_t inode_count() const { return inodes_.size(); }
+  std::size_t inode_count() const { return live_inodes_; }
   const Options& options() const { return options_; }
 
  private:
+  using Children = std::map<std::string, InodeId, std::less<>>;
+
+  /// A slot of the inode table; the slot index is the inode id.  Collected
+  /// inodes leave their slot behind, dead, so a slot is kept small: a
+  /// directory's entries live behind a pointer and stored bytes (tests
+  /// only) in contents_.
   struct Inode {
-    InodeId id = 0;
+    bool live = false;  ///< false for slot 0 and for collected inodes
     FileKind kind = FileKind::regular;
-    std::uint64_t size = 0;
     std::uint32_t link_count = 0;
     std::uint32_t open_count = 0;
+    std::uint64_t size = 0;
     std::uint64_t read_ops = 0;
     std::uint64_t write_ops = 0;
     std::uint64_t bytes_read = 0;
@@ -179,8 +218,7 @@ class SimulatedFileSystem {
     double created_at = 0.0;
     double modified_at = 0.0;
     double accessed_at = 0.0;
-    std::vector<std::uint8_t> data;           // only when store_data
-    std::map<std::string, InodeId, std::less<>> children;  // only for directories
+    std::unique_ptr<Children> children;  ///< directories only
   };
 
   struct OpenFile {
@@ -192,8 +230,22 @@ class SimulatedFileSystem {
   double now() const { return clock_ ? clock_() : 0.0; }
   void add_child(Inode& dir, std::string_view name, InodeId id);
   void remove_child(Inode& dir, std::string_view name);
+  /// Appends a fresh inode; returns its id.  Grows the table, so every
+  /// Inode& taken before the call dangles — re-fetch after inserting.
+  InodeId new_inode(FileKind kind);
+  /// The live inode `id`, or null (out of range or collected).
+  Inode* find_inode(InodeId id);
+  const Inode* find_inode(InodeId id) const;
   Inode& inode_ref(InodeId id);
   const Inode& inode_ref(InodeId id) const;
+  /// The directory a handle op works in: the checks resolve_parent makes
+  /// on a walked path, applied to a handle and a single-component name.
+  Result<Inode*> entry_dir(InodeId dir, std::string_view name);
+  Result<const Inode*> entry_dir(InodeId dir, std::string_view name) const;
+  /// open(2)'s checks that precede name resolution.
+  FsStatus open_precheck(unsigned flags) const;
+  /// open(InodeId) once the prechecks passed.
+  Result<Fd> open_inode(InodeId id, unsigned flags);
   /// Path walks: components are viewed in place on a fixed stack
   /// (PathComponents), so resolving allocates nothing.  `leaf` views into
   /// `path`.
@@ -206,9 +258,10 @@ class SimulatedFileSystem {
 
   Options options_;
   std::function<double()> clock_;
-  std::unordered_map<InodeId, Inode> inodes_;
-  std::unordered_map<Fd, OpenFile> open_files_;
-  InodeId next_inode_ = 2;  // 1 is the root
+  std::vector<Inode> inodes_;  ///< indexed by id; slot 0 unused, 1 is the root
+  std::size_t live_inodes_ = 0;
+  std::map<InodeId, std::vector<std::uint8_t>> contents_;  ///< only when store_data
+  util::FlatIdMap<OpenFile> open_files_;  ///< keyed by descriptor
   Fd next_fd_ = 3;          // mimic stdin/stdout/stderr being taken
   std::uint64_t bytes_in_use_ = 0;
 };

@@ -3,11 +3,11 @@
 #include <cstdint>
 
 #include "fsmodel/disk.h"
-#include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/model.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
+#include "util/flat_map.h"
 
 namespace wlgen::fsmodel {
 
@@ -56,8 +56,8 @@ class LocalDiskModel final : public FileSystemModel {
   LruCache buffer_cache_;
   LruCache inode_cache_;
   // Per-file state, erased on unlink (inode ids are never reused).
-  FlatIdMap<std::uint64_t> dirty_bytes_;
-  FlatIdMap<std::uint64_t> last_end_;
+  util::FlatIdMap<std::uint64_t> dirty_bytes_;
+  util::FlatIdMap<std::uint64_t> last_end_;
   std::uint64_t async_flushes_ = 0;
 };
 

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "fsmodel/flat_map.h"
+#include "util/flat_map.h"
 
 namespace wlgen::fsmodel {
 
@@ -64,7 +64,7 @@ class LruCache {
   std::size_t capacity_;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_nodes_;  ///< nodes released by erase()
-  FlatIdMap<std::uint32_t> index_;         ///< key -> node
+  util::FlatIdMap<std::uint32_t> index_;   ///< key -> node
   std::uint32_t head_ = kNil;              ///< most recently used
   std::uint32_t tail_ = kNil;              ///< least recently used
   std::size_t size_ = 0;

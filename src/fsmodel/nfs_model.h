@@ -5,12 +5,12 @@
 #include <vector>
 
 #include "fsmodel/disk.h"
-#include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/model.h"
 #include "net/network.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
+#include "util/flat_map.h"
 
 namespace wlgen::fsmodel {
 
@@ -102,8 +102,8 @@ class NfsModel final : public FileSystemModel {
     LruCache attr;
     // Per-file state, erased when the file is unlinked (inode ids are never
     // reused, so an unlinked file's entries would otherwise live forever).
-    FlatIdMap<std::uint64_t> dirty_bytes;  // file -> unflushed
-    FlatIdMap<std::uint64_t> last_end;     // file -> last read end
+    util::FlatIdMap<std::uint64_t> dirty_bytes;  // file -> unflushed
+    util::FlatIdMap<std::uint64_t> last_end;     // file -> last read end
   };
 
   Client& client_for(const FsOp& op);

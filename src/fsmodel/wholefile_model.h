@@ -3,12 +3,12 @@
 #include <cstdint>
 
 #include "fsmodel/disk.h"
-#include "fsmodel/flat_map.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/model.h"
 #include "net/network.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
+#include "util/flat_map.h"
 
 namespace wlgen::fsmodel {
 
@@ -60,8 +60,8 @@ class WholeFileCacheModel final : public FileSystemModel {
   sim::Resource server_cpu_;
   sim::Resource server_disk_;
   LruCache file_cache_;
-  FlatIdMap<bool> dirty_files_;  ///< present = modified since the last store
-  FlatIdMap<std::uint64_t> cached_size_;
+  util::FlatIdMap<bool> dirty_files_;  ///< present = modified since the last store
+  util::FlatIdMap<std::uint64_t> cached_size_;
   std::uint64_t fetches_ = 0;
   std::uint64_t stores_ = 0;
 };

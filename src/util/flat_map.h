@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-namespace wlgen::fsmodel {
+namespace wlgen::util {
 
 /// Open-addressing hash map from 64-bit ids (inode numbers, block keys) to
 /// small values: one flat slot array, linear probing, backward-shift
@@ -112,4 +112,4 @@ class FlatIdMap {
   unsigned shift_ = 64;
 };
 
-}  // namespace wlgen::fsmodel
+}  // namespace wlgen::util

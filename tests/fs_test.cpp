@@ -250,6 +250,30 @@ TEST(FileSystem, RenameDirectoryIntoItselfRejected) {
   EXPECT_EQ(fsys.rename("/a", "/a/b/c"), FsStatus::invalid_argument);
 }
 
+TEST(FileSystem, RenameDirectoryOntoItselfIsNoOp) {
+  SimulatedFileSystem fsys;
+  fsys.mkdir_recursive("/a/b");
+  fsys.close(fsys.creat("/a/b/f").value());
+  const FileStat before = fsys.stat("/a/b").value();
+  EXPECT_EQ(fsys.rename("/a/b", "/a/b"), FsStatus::ok);
+  EXPECT_EQ(fsys.rename("/a/b", "/a/./b"), FsStatus::ok);
+  const FileStat after = fsys.stat("/a/b").value();
+  EXPECT_EQ(after.inode, before.inode);
+  EXPECT_EQ(after.size, before.size);
+  EXPECT_EQ(fsys.readdir("/a").value(), std::vector<std::string>{"b"});
+  EXPECT_TRUE(fsys.exists("/a/b/f"));
+  // Still refused one level further down.
+  EXPECT_EQ(fsys.rename("/a/b", "/a/b/c"), FsStatus::invalid_argument);
+}
+
+TEST(FileSystem, RenameFileOntoItselfIsNoOp) {
+  SimulatedFileSystem fsys;
+  fsys.mkdir("/a");
+  fsys.close(fsys.creat("/a/f").value());
+  EXPECT_EQ(fsys.rename("/a/f", "/a/./f"), FsStatus::ok);
+  EXPECT_TRUE(fsys.exists("/a/f"));
+}
+
 TEST(FileSystem, CapacityEnforced) {
   SimulatedFileSystem::Options options;
   options.capacity_bytes = 100;
@@ -378,6 +402,78 @@ TEST(FileSystem, PathThroughFileRejected) {
   fsys.close(fsys.creat("/f").value());
   EXPECT_EQ(fsys.creat("/f/child").status(), FsStatus::not_a_directory);
   EXPECT_EQ(fsys.stat("/f/child").status(), FsStatus::not_a_directory);
+}
+
+// The handle-addressed calls: the path calls are a walk plus these, so
+// they share every rule; these cases pin what only a handle can express.
+TEST(FileSystemHandles, OpenAtCreatesAndReopens) {
+  SimulatedFileSystem fsys;
+  const Result<InodeId> dir = fsys.mkdir_at(1, "d");
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(fsys.lookup(1, "d").value(), dir.value());
+  const auto fd = fsys.open_at(dir.value(), "f", kWrite | kCreate | kTruncate);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(fsys.write(fd.value(), 9).value(), 9u);
+  const InodeId f = fsys.fstat(fd.value()).value().inode;
+  EXPECT_EQ(fsys.close(fd.value()), FsStatus::ok);
+  EXPECT_EQ(fsys.stat("/d/f").value().inode, f);
+  EXPECT_EQ(fsys.stat(f).value().size, 9u);
+  EXPECT_EQ(fsys.stat(dir.value()).value().size, 16u + 1u);
+  const auto again = fsys.open(f, kRead);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(fsys.read(again.value(), 100).value(), 9u);
+  fsys.close(again.value());
+  EXPECT_EQ(fsys.open_at(dir.value(), "missing", kRead).status(), FsStatus::not_found);
+  EXPECT_EQ(fsys.mkdir_at(dir.value(), "f").status(), FsStatus::already_exists);
+  EXPECT_EQ(fsys.open(dir.value(), kWrite).status(), FsStatus::is_a_directory);
+}
+
+TEST(FileSystemHandles, EntryChangesStampTheDirectory) {
+  SimulatedFileSystem fsys;
+  double now = 5.0;
+  fsys.set_clock([&now] { return now; });
+  const InodeId dir = fsys.mkdir_at(1, "dir").value();
+  EXPECT_EQ(fsys.stat(1).value().modified_at, 5.0);
+  EXPECT_EQ(fsys.stat(1).value().size, 16u + 3u);
+  EXPECT_EQ(fsys.stat(dir).value().created_at, 5.0);
+  now = 7.0;
+  fsys.close(fsys.open_at(dir, "f", kWrite | kCreate).value());
+  EXPECT_EQ(fsys.stat(dir).value().modified_at, 7.0);
+  EXPECT_EQ(fsys.stat(dir).value().size, 16u + 1u);
+  now = 9.0;
+  EXPECT_EQ(fsys.unlink_at(dir, "f"), FsStatus::ok);
+  EXPECT_EQ(fsys.stat(dir).value().modified_at, 9.0);
+  EXPECT_EQ(fsys.stat(dir).value().size, 0u);
+  EXPECT_EQ(fsys.stat(1).value().modified_at, 5.0);
+}
+
+TEST(FileSystemHandles, RejectBadNamesAndHandles) {
+  SimulatedFileSystem fsys;
+  fsys.close(fsys.creat("/f").value());
+  const InodeId f = fsys.stat("/f").value().inode;
+  for (const char* bad : {"", ".", "..", "a/b"}) {
+    EXPECT_EQ(fsys.open_at(1, bad, kRead | kCreate).status(), FsStatus::invalid_argument) << bad;
+    EXPECT_EQ(fsys.mkdir_at(1, bad).status(), FsStatus::invalid_argument) << bad;
+    EXPECT_EQ(fsys.unlink_at(1, bad), FsStatus::invalid_argument) << bad;
+    EXPECT_EQ(fsys.lookup(1, bad).status(), FsStatus::invalid_argument) << bad;
+  }
+  EXPECT_EQ(fsys.open_at(f, "x", kRead | kCreate).status(), FsStatus::not_a_directory);
+  EXPECT_EQ(fsys.mkdir_at(f, "x").status(), FsStatus::not_a_directory);
+  EXPECT_EQ(fsys.unlink_at(f, "x"), FsStatus::not_a_directory);
+  EXPECT_EQ(fsys.unlink_at(1, "missing"), FsStatus::not_found);
+  for (const InodeId never : {InodeId{0}, InodeId{99}, ~InodeId{0}}) {
+    EXPECT_EQ(fsys.stat(never).status(), FsStatus::not_found);
+    EXPECT_EQ(fsys.open(never, kRead).status(), FsStatus::not_found);
+    EXPECT_EQ(fsys.open_at(never, "x", kRead | kCreate).status(), FsStatus::not_found);
+    EXPECT_EQ(fsys.mkdir_at(never, "x").status(), FsStatus::not_found);
+  }
+  // Flag and descriptor-limit checks come first, as in open(path).
+  EXPECT_EQ(fsys.open(f, 0).status(), FsStatus::invalid_argument);
+  EXPECT_EQ(fsys.open_at(0, "x", 0).status(), FsStatus::invalid_argument);
+  SimulatedFileSystem::Options options;
+  options.max_name_length = 3;
+  SimulatedFileSystem narrow(options);
+  EXPECT_EQ(narrow.mkdir_at(1, "long").status(), FsStatus::name_too_long);
 }
 
 // Resolution walks path components in place on a fixed stack: ".."

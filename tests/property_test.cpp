@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <list>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,13 +19,14 @@
 #include "core/presets.h"
 #include "core/usim.h"
 #include "fs/filesystem.h"
-#include "fsmodel/flat_map.h"
+#include "fs/path.h"
 #include "fsmodel/lru_cache.h"
 #include "fsmodel/nfs_model.h"
 #include "runner/merge.h"
 #include "runner/partition.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace wlgen {
@@ -210,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(Capacities, FlatLruProperty,
 // state, against std::map: inserts, lookups and backward-shift erases over
 // clustered keys (so probe runs are long and wrap the table).
 TEST(FlatIdMapProperty, MatchesStdMap) {
-  fsmodel::FlatIdMap<std::uint64_t> map;
+  util::FlatIdMap<std::uint64_t> map;
   std::map<std::uint64_t, std::uint64_t> reference;
   util::RngStream rng(20261017, "flat-id-map");
   for (int step = 0; step < 50000; ++step) {
@@ -709,6 +713,602 @@ TEST_P(FsFuzz, SizesMatchReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsFuzz, ::testing::Values(11, 22, 33, 44));
+
+// ---------------------------------------------------------------------------
+// FSC equivalence: the handle-based build against the path-based build it
+// replaced, kept here as the reference.
+// ---------------------------------------------------------------------------
+
+// The former FileSystemCreator::create(): mkdir_recursive per directory and
+// creat + write + close + stat(path) per file, through the path API.
+core::CreatedFileSystem reference_fsc_create(fs::SimulatedFileSystem& fsys,
+                                             const std::vector<core::FileCategoryProfile>& profiles,
+                                             const core::FscConfig& config) {
+  using core::CreatedFile;
+  using core::CreatedFileSystem;
+  const auto require_ok = [](fs::FsStatus status, const std::string& what) {
+    if (status != fs::FsStatus::ok) {
+      throw std::runtime_error("FileSystemCreator: " + what + " failed: " +
+                               fs::to_string(status));
+    }
+  };
+  const auto sample_size = [](const core::FileCategoryProfile& profile, util::RngStream& rng) {
+    const double v = profile.size_dist->sample(rng);
+    return static_cast<std::uint64_t>(std::max(1.0, std::llround(v) * 1.0));
+  };
+  const auto file_name = [](const core::FileCategory& category, std::size_t ordinal) {
+    std::string name = category.label();
+    for (auto& c : name) {
+      if (c == '/' || c == '-') c = '_';
+    }
+    std::string lowered;
+    for (char c : name) lowered += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return lowered + "_" + std::to_string(ordinal);
+  };
+  CreatedFileSystem out;
+  out.set_user_count(config.first_user + config.num_users);
+  const auto create_regular = [&](const core::FileCategoryProfile& profile,
+                                  const std::string& dir, std::size_t owner_user,
+                                  std::size_t ordinal, util::RngStream& rng) {
+    const std::string path = dir + "/" + file_name(profile.category, ordinal);
+    const std::uint64_t size = sample_size(profile, rng);
+    const auto fd = fsys.creat(path);
+    if (!fd.ok()) {
+      throw std::runtime_error("FileSystemCreator: creat(" + path + ") failed: " +
+                               fs::to_string(fd.status()));
+    }
+    const auto wrote = fsys.write(fd.value(), size);
+    if (!wrote.ok()) {
+      throw std::runtime_error("FileSystemCreator: populate(" + path + ") failed: " +
+                               fs::to_string(wrote.status()));
+    }
+    require_ok(fsys.close(fd.value()), "close(" + path + ")");
+    CreatedFile file;
+    file.path = path;
+    file.category = profile.category;
+    file.size = size;
+    file.owner_user = owner_user;
+    file.inode = fsys.stat(path).value().inode;
+    out.add_file(std::move(file));
+  };
+
+  util::RngStream system_rng(config.seed, "fsc/system");
+  require_ok(fsys.mkdir_recursive(CreatedFileSystem::system_dir()), "mkdir /system");
+  require_ok(fsys.mkdir_recursive("/users"), "mkdir /users");
+  std::vector<const core::FileCategoryProfile*> user_profiles, notes_profiles, other_profiles;
+  for (const auto& p : profiles) {
+    if (p.category.file_type != core::FileType::regular) continue;
+    switch (p.category.owner) {
+      case core::FileOwner::user: user_profiles.push_back(&p); break;
+      case core::FileOwner::notes: notes_profiles.push_back(&p); break;
+      case core::FileOwner::other: other_profiles.push_back(&p); break;
+    }
+  }
+  const std::size_t notes_dirs = std::max<std::size_t>(1, config.system_subdirs / 2);
+  const std::size_t other_dirs = std::max<std::size_t>(1, config.system_subdirs - notes_dirs);
+  std::vector<std::string> notes_paths, other_paths;
+  for (std::size_t i = 0; i < notes_dirs; ++i) {
+    const std::string dir = CreatedFileSystem::system_dir() + "/notes" + std::to_string(i);
+    require_ok(fsys.mkdir_recursive(dir), "mkdir " + dir);
+    notes_paths.push_back(dir);
+  }
+  for (std::size_t i = 0; i < other_dirs; ++i) {
+    const std::string dir = CreatedFileSystem::system_dir() + "/other" + std::to_string(i);
+    require_ok(fsys.mkdir_recursive(dir), "mkdir " + dir);
+    other_paths.push_back(dir);
+  }
+  const auto create_system = [&](const std::vector<const core::FileCategoryProfile*>& group,
+                                 const std::vector<std::string>& dirs, std::size_t count) {
+    if (group.empty() || dirs.empty()) return;
+    std::vector<double> weights;
+    for (const auto* p : group) weights.push_back(std::max(p->fraction_of_files, 1e-9));
+    std::vector<std::size_t> ordinal(group.size(), 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t pick = system_rng.categorical(weights);
+      const auto& dir = dirs[static_cast<std::size_t>(
+          system_rng.uniform_int(0, static_cast<std::int64_t>(dirs.size()) - 1))];
+      create_regular(*group[pick], dir, CreatedFile::kSystemOwner, ordinal[pick]++, system_rng);
+    }
+  };
+  double notes_frac = 0.0, other_frac = 0.0;
+  for (const auto* p : notes_profiles) notes_frac += p->fraction_of_files;
+  for (const auto* p : other_profiles) other_frac += p->fraction_of_files;
+  const double system_total = std::max(notes_frac + other_frac, 1e-9);
+  const std::size_t notes_count = static_cast<std::size_t>(
+      std::llround(static_cast<double>(config.system_files) * notes_frac / system_total));
+  create_system(notes_profiles, notes_paths, notes_count);
+  create_system(other_profiles, other_paths, config.system_files - notes_count);
+
+  const std::size_t user_end = config.first_user + config.num_users;
+  for (std::size_t user = config.first_user; user < user_end; ++user) {
+    util::RngStream user_rng(config.seed, "fsc/user/" + std::to_string(user));
+    const std::string home = CreatedFileSystem::user_dir(user);
+    require_ok(fsys.mkdir_recursive(home), "mkdir " + home);
+    std::vector<std::string> dirs = {home};
+    for (std::size_t i = 0; i < config.user_subdirs; ++i) {
+      const std::string dir = home + "/d" + std::to_string(i);
+      require_ok(fsys.mkdir_recursive(dir), "mkdir " + dir);
+      dirs.push_back(dir);
+    }
+    if (user_profiles.empty()) continue;
+    std::vector<double> weights;
+    for (const auto* p : user_profiles) weights.push_back(std::max(p->fraction_of_files, 1e-9));
+    std::vector<std::size_t> ordinal(user_profiles.size(), 0);
+    for (std::size_t i = 0; i < config.files_per_user; ++i) {
+      const std::size_t pick = user_rng.categorical(weights);
+      const auto& dir = dirs[static_cast<std::size_t>(
+          user_rng.uniform_int(0, static_cast<std::int64_t>(dirs.size()) - 1))];
+      create_regular(*user_profiles[pick], dir, user, ordinal[pick]++, user_rng);
+    }
+  }
+
+  const auto add_dir = [&](const std::string& path, core::FileOwner owner,
+                           std::size_t owner_user) {
+    const auto st = fsys.stat(path);
+    if (!st.ok()) return;
+    CreatedFile file;
+    file.path = path;
+    file.category = core::FileCategory{core::FileType::directory, owner, core::UseMode::read_only};
+    file.size = st.value().size;
+    file.inode = st.value().inode;
+    file.owner_user = owner_user;
+    out.add_file(std::move(file));
+  };
+  add_dir(CreatedFileSystem::system_dir(), core::FileOwner::other, CreatedFile::kSystemOwner);
+  add_dir("/users", core::FileOwner::other, CreatedFile::kSystemOwner);
+  for (const auto& dir : notes_paths) {
+    add_dir(dir, core::FileOwner::other, CreatedFile::kSystemOwner);
+  }
+  for (const auto& dir : other_paths) {
+    add_dir(dir, core::FileOwner::other, CreatedFile::kSystemOwner);
+  }
+  for (std::size_t user = config.first_user; user < user_end; ++user) {
+    add_dir(CreatedFileSystem::user_dir(user), core::FileOwner::user, user);
+    for (std::size_t i = 0; i < config.user_subdirs; ++i) {
+      add_dir(CreatedFileSystem::user_dir(user) + "/d" + std::to_string(i), core::FileOwner::user,
+              user);
+    }
+  }
+  return out;
+}
+
+void expect_same_stat(const fs::FileStat& a, const fs::FileStat& b, const std::string& where) {
+  EXPECT_EQ(a.inode, b.inode) << where;
+  EXPECT_EQ(a.kind, b.kind) << where;
+  EXPECT_EQ(a.size, b.size) << where;
+  EXPECT_EQ(a.link_count, b.link_count) << where;
+  EXPECT_EQ(a.read_ops, b.read_ops) << where;
+  EXPECT_EQ(a.write_ops, b.write_ops) << where;
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << where;
+  EXPECT_EQ(a.bytes_written, b.bytes_written) << where;
+  EXPECT_EQ(a.created_at, b.created_at) << where;
+  EXPECT_EQ(a.modified_at, b.modified_at) << where;
+  EXPECT_EQ(a.accessed_at, b.accessed_at) << where;
+}
+
+/// Walks both trees from `path` down, comparing every entry's stat and
+/// every directory's listing; returns the number of entries visited.
+std::size_t expect_same_tree(const fs::SimulatedFileSystem& a, const fs::SimulatedFileSystem& b,
+                             const std::string& path) {
+  const auto sa = a.stat(path);
+  const auto sb = b.stat(path);
+  EXPECT_EQ(sa.status(), sb.status()) << path;
+  if (!sa.ok() || !sb.ok()) return 0;
+  expect_same_stat(sa.value(), sb.value(), path);
+  std::size_t visited = 1;
+  if (sa.value().kind != fs::FileKind::directory) return visited;
+  const auto la = a.readdir(path);
+  const auto lb = b.readdir(path);
+  EXPECT_EQ(la.value(), lb.value()) << path;
+  for (const std::string& name : la.value()) {
+    visited += expect_same_tree(a, b, path == "/" ? "/" + name : path + "/" + name);
+  }
+  return visited;
+}
+
+struct FscCase {
+  std::uint64_t seed;
+  std::size_t first_user;
+  std::size_t num_users;
+  std::size_t files_per_user;
+  std::size_t system_files;
+  std::size_t system_subdirs;
+};
+
+std::string describe(const FscCase& c) {
+  return "seed " + std::to_string(c.seed) + " first_user " + std::to_string(c.first_user) +
+         " users " + std::to_string(c.num_users) + " files/user " +
+         std::to_string(c.files_per_user) + " system " + std::to_string(c.system_files) +
+         " system dirs " + std::to_string(c.system_subdirs);
+}
+
+void expect_fsc_matches_reference(const FscCase& c) {
+  SCOPED_TRACE(describe(c));
+  const auto profiles = core::di86_file_profiles();
+  core::FscConfig config;
+  config.seed = c.seed;
+  config.first_user = c.first_user;
+  config.num_users = c.num_users;
+  config.files_per_user = c.files_per_user;
+  config.system_files = c.system_files;
+  config.system_subdirs = c.system_subdirs;
+  // A clock that moves with every reading makes the timestamps order-sensitive.
+  double ticks_a = 0.0, ticks_b = 0.0;
+  fs::SimulatedFileSystem built, reference;
+  built.set_clock([&ticks_a] { return ticks_a += 0.5; });
+  reference.set_clock([&ticks_b] { return ticks_b += 0.5; });
+  core::FileSystemCreator fsc(built, profiles, config);
+  const core::CreatedFileSystem manifest = fsc.create();
+  const core::CreatedFileSystem expected = reference_fsc_create(reference, profiles, config);
+
+  ASSERT_EQ(manifest.file_count(), expected.file_count());
+  EXPECT_EQ(manifest.user_count(), expected.user_count());
+  for (std::size_t i = 0; i < manifest.file_count(); ++i) {
+    const core::CreatedFile& got = manifest.files()[i];
+    const core::CreatedFile& want = expected.files()[i];
+    EXPECT_EQ(got.path, want.path) << "file " << i;
+    EXPECT_EQ(got.category, want.category) << "file " << i;
+    EXPECT_EQ(got.size, want.size) << "file " << i;
+    EXPECT_EQ(got.inode, want.inode) << "file " << i;
+    EXPECT_EQ(got.owner_user, want.owner_user) << "file " << i;
+  }
+  // Every pool, against one rebuilt from the manifest by a std::map.
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>> pools;
+  for (std::size_t i = 0; i < expected.file_count(); ++i) {
+    const core::CreatedFile& f = expected.files()[i];
+    pools[{f.category.index(), f.owner_user}].push_back(i);
+  }
+  for (int type = 0; type < 2; ++type) {
+    for (int owner = 0; owner < 3; ++owner) {
+      for (int use = 0; use < 4; ++use) {
+        const core::FileCategory category{static_cast<core::FileType>(type),
+                                          static_cast<core::FileOwner>(owner),
+                                          static_cast<core::UseMode>(use)};
+        for (std::size_t user = 0; user < c.first_user + c.num_users + 1; ++user) {
+          const std::size_t key_owner = category.owner == core::FileOwner::user
+                                            ? user
+                                            : core::CreatedFile::kSystemOwner;
+          const auto it = pools.find({category.index(), key_owner});
+          const std::vector<std::size_t> want =
+              it == pools.end() ? std::vector<std::size_t>{} : it->second;
+          EXPECT_EQ(manifest.pool(category, user), want) << category.label() << " user " << user;
+          EXPECT_EQ(expected.pool(category, user), want) << category.label() << " user " << user;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(expect_same_tree(built, reference, "/"), built.inode_count());
+  EXPECT_EQ(built.bytes_in_use(), reference.bytes_in_use());
+  EXPECT_EQ(built.inode_count(), reference.inode_count());
+  EXPECT_EQ(built.open_descriptor_count(), 0u);
+  EXPECT_EQ(ticks_a, ticks_b);
+  // The next inode id and descriptor number match too.
+  const auto fd_a = built.creat("/probe");
+  const auto fd_b = reference.creat("/probe");
+  ASSERT_TRUE(fd_a.ok());
+  ASSERT_TRUE(fd_b.ok());
+  EXPECT_EQ(fd_a.value(), fd_b.value());
+  EXPECT_EQ(built.fstat(fd_a.value()).value().inode, reference.fstat(fd_b.value()).value().inode);
+}
+
+class FscEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FscEquivalence, HandleBuildMatchesPathBuildExactly) {
+  const std::uint64_t seed = GetParam();
+  const std::size_t first_users[] = {0, 5, 4093};
+  for (std::size_t fu = 0; fu < 3; ++fu) {
+    for (std::size_t users : {1u, 3u, 16u}) {
+      for (std::size_t files : {0u, 1u, 64u}) {
+        for (std::size_t system : {0u, 256u}) {
+          expect_fsc_matches_reference(
+              FscCase{seed, first_users[(fu + seed) % 3], users, files, system, 4});
+        }
+      }
+    }
+  }
+  // Uneven and minimal system trees.
+  expect_fsc_matches_reference(FscCase{seed, 2, 3, 64, 256, 1});
+  expect_fsc_matches_reference(FscCase{seed, 0, 1, 64, 256, 7});
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FscEquivalence, ::testing::Values(1991, 7, 4242));
+
+TEST(FscEquivalence, CapacityFailureMatchesReference) {
+  const auto profiles = core::di86_file_profiles();
+  for (const std::uint64_t capacity : {1u, 4096u, 40000u}) {
+    fs::SimulatedFileSystem::Options options;
+    options.capacity_bytes = capacity;
+    core::FscConfig config;
+    config.files_per_user = 200;
+    fs::SimulatedFileSystem built(options), reference(options);
+    std::string got, want;
+    try {
+      core::FileSystemCreator(built, profiles, config).create();
+    } catch (const std::runtime_error& e) {
+      got = e.what();
+    }
+    try {
+      reference_fsc_create(reference, profiles, config);
+    } catch (const std::runtime_error& e) {
+      want = e.what();
+    }
+    EXPECT_FALSE(want.empty()) << "capacity " << capacity;
+    EXPECT_EQ(got, want) << "capacity " << capacity;
+    EXPECT_EQ(built.bytes_in_use(), reference.bytes_in_use()) << "capacity " << capacity;
+    EXPECT_EQ(built.inode_count(), reference.inode_count()) << "capacity " << capacity;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Namespace property: one op sequence driven by path on one file system and
+// by handle on another.
+// ---------------------------------------------------------------------------
+
+/// The handle side's path walk: one lookup() per component from the root.
+/// A failed step returns a handle the next handle call rejects with the
+/// status the path call gives: the regular file it stopped at
+/// (not_a_directory) or 0, which is never an inode (not_found).
+fs::InodeId walk_by_lookup(const fs::SimulatedFileSystem& fsys, const std::string& dir) {
+  std::vector<std::string> parts;
+  fs::split_path(dir, parts);
+  fs::InodeId current = 1;
+  for (const std::string& part : parts) {
+    const auto next = fsys.lookup(current, part);
+    if (!next.ok()) return next.status() == fs::FsStatus::not_a_directory ? current : 0;
+    current = next.value();
+  }
+  return current;
+}
+
+class NamespaceProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(NamespaceProperty, PathAndHandleDriversAgree) {
+  fs::SimulatedFileSystem::Options options;
+  options.max_open_files = 4;      // so too_many_open_files occurs
+  options.capacity_bytes = 12000;  // and no_space
+  fs::SimulatedFileSystem by_path(options), by_handle(options);
+  double now = 0.0;
+  by_path.set_clock([&now] { return now; });
+  by_handle.set_clock([&now] { return now; });
+  util::RngStream rng(GetParam(), "namespace-property");
+
+  const std::vector<std::string> dirs = {"/", "/a", "/b", "/a/c", "/b/a", "/f", "/a/f"};
+  const std::vector<std::string> leaves = {"a", "b", "c", "f", "g"};
+  const auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  const auto join = [](const std::string& dir, const std::string& leaf) {
+    return dir == "/" ? "/" + leaf : dir + "/" + leaf;
+  };
+  std::vector<fs::Fd> fds;  // identical on both sides
+  fs::InodeId max_id = 1;
+
+  const auto compare_state = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    for (fs::InodeId id = 0; id <= max_id + 2; ++id) {
+      const auto a = by_path.stat(id);
+      const auto b = by_handle.stat(id);
+      ASSERT_EQ(a.status(), b.status()) << "inode " << id;
+      if (a.ok()) expect_same_stat(a.value(), b.value(), "inode " + std::to_string(id));
+    }
+    expect_same_tree(by_path, by_handle, "/");
+    for (const std::string& dir : dirs) {
+      for (const std::string& leaf : leaves) {
+        const std::string path = join(dir, leaf);
+        ASSERT_EQ(by_path.stat(path).status(), by_handle.stat(path).status()) << path;
+      }
+    }
+    ASSERT_EQ(by_path.bytes_in_use(), by_handle.bytes_in_use());
+    ASSERT_EQ(by_path.inode_count(), by_handle.inode_count());
+    ASSERT_EQ(by_path.open_descriptor_count(), by_handle.open_descriptor_count());
+    ASSERT_EQ(by_path.regular_file_count(), by_handle.regular_file_count());
+    ASSERT_EQ(by_path.directory_count(), by_handle.directory_count());
+  };
+  // Outcomes per op kind, so the sweep is known to reach both success and
+  // failure of every call.
+  const char* const kinds[] = {"creat", "open", "write", "truncate", "link", "unlink",
+                               "mkdir", "rmdir", "rename", "close", "stat"};
+  std::map<std::string, std::set<fs::FsStatus>> outcomes;
+  const auto agree = [&](int kind, fs::FsStatus a, fs::FsStatus b, int step) {
+    ASSERT_EQ(a, b) << kinds[kind] << " at step " << step;
+    outcomes[kinds[kind]].insert(a);
+  };
+  const auto note_fd = [&](int kind, const fs::Result<fs::Fd>& a, const fs::Result<fs::Fd>& b,
+                           int step) {
+    agree(kind, a.status(), b.status(), step);
+    if (!a.ok()) return;
+    ASSERT_EQ(a.value(), b.value()) << "step " << step;
+    fds.push_back(a.value());
+    max_id = std::max(max_id, by_path.fstat(a.value()).value().inode);
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    now += 1.0;
+    const std::string dir = pick(dirs);
+    const std::string leaf = pick(leaves);
+    const std::string path = join(dir, leaf);
+    const auto fd_pick = [&]() -> fs::Fd {
+      if (fds.empty() || rng.bernoulli(0.1)) return 1000;  // a bad descriptor
+      return fds[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(fds.size()) - 1))];
+    };
+    const int kind = static_cast<int>(rng.uniform_int(0, 10));
+    switch (kind) {
+      case 0:  // creat
+        note_fd(kind, by_path.creat(path),
+                by_handle.open_at(walk_by_lookup(by_handle, dir), leaf,
+                                  fs::kWrite | fs::kCreate | fs::kTruncate),
+                step);
+        break;
+      case 1: {  // open: any flags, by name or by inode on the handle side
+        const unsigned flags = static_cast<unsigned>(rng.uniform_int(0, 31));
+        const fs::InodeId parent = walk_by_lookup(by_handle, dir);
+        const auto found = by_handle.lookup(parent, leaf);
+        const auto b = found.ok() && rng.bernoulli(0.5) ? by_handle.open(found.value(), flags)
+                                                        : by_handle.open_at(parent, leaf, flags);
+        note_fd(kind, by_path.open(path, flags), b, step);
+        break;
+      }
+      case 2: {  // write
+        const fs::Fd fd = fd_pick();
+        const std::uint64_t count = static_cast<std::uint64_t>(rng.uniform_int(0, 3000));
+        const auto a = by_path.write(fd, count);
+        const auto b = by_handle.write(fd, count);
+        agree(kind, a.status(), b.status(), step);
+        if (a.ok()) {
+          ASSERT_EQ(a.value(), b.value()) << "step " << step;
+        }
+        break;
+      }
+      case 3: {  // truncate (path only: it has no handle form)
+        const std::uint64_t size = static_cast<std::uint64_t>(rng.uniform_int(0, 5000));
+        agree(kind, by_path.truncate(path, size), by_handle.truncate(path, size), step);
+        break;
+      }
+      case 4: {  // link (path only)
+        const std::string to = join(pick(dirs), pick(leaves));
+        agree(kind, by_path.link(path, to), by_handle.link(path, to), step);
+        break;
+      }
+      case 5:  // unlink
+        agree(kind, by_path.unlink(path),
+              by_handle.unlink_at(walk_by_lookup(by_handle, dir), leaf), step);
+        break;
+      case 6: {  // mkdir
+        const fs::Result<fs::InodeId> made =
+            by_handle.mkdir_at(walk_by_lookup(by_handle, dir), leaf);
+        agree(kind, by_path.mkdir(path), made.status(), step);
+        if (made.ok()) max_id = std::max(max_id, made.value());
+        break;
+      }
+      case 7:  // rmdir (path only)
+        agree(kind, by_path.rmdir(path), by_handle.rmdir(path), step);
+        break;
+      case 8: {  // rename (path only)
+        const std::string to = join(pick(dirs), pick(leaves));
+        agree(kind, by_path.rename(path, to), by_handle.rename(path, to), step);
+        break;
+      }
+      case 9: {  // close
+        const fs::Fd fd = fd_pick();
+        agree(kind, by_path.close(fd), by_handle.close(fd), step);
+        fds.erase(std::remove(fds.begin(), fds.end(), fd), fds.end());
+        break;
+      }
+      default: {  // stat, by inode on the handle side
+        const auto a = by_path.stat(path);
+        const auto found = by_handle.lookup(walk_by_lookup(by_handle, dir), leaf);
+        const auto b = found.ok() ? by_handle.stat(found.value())
+                                  : fs::Result<fs::FileStat>(found.status());
+        agree(kind, a.status(), b.status(), step);
+        if (a.ok()) expect_same_stat(a.value(), b.value(), path);
+        break;
+      }
+    }
+    if (step % 97 == 0) compare_state(step);
+    if (HasFatalFailure()) return;
+  }
+  for (const fs::Fd fd : fds) {
+    ASSERT_EQ(by_path.close(fd), by_handle.close(fd));
+  }
+  compare_state(-1);
+  for (const char* kind : kinds) {
+    const std::set<fs::FsStatus>& seen = outcomes[kind];
+    EXPECT_TRUE(seen.count(fs::FsStatus::ok)) << kind << " never succeeded";
+    EXPECT_GE(seen.size(), 2u) << kind << " never failed";
+  }
+  for (const fs::FsStatus status :
+       {fs::FsStatus::not_found, fs::FsStatus::already_exists, fs::FsStatus::not_a_directory,
+        fs::FsStatus::is_a_directory, fs::FsStatus::directory_not_empty,
+        fs::FsStatus::invalid_argument, fs::FsStatus::too_many_open_files,
+        fs::FsStatus::no_space, fs::FsStatus::bad_descriptor}) {
+    bool reached = false;
+    for (const auto& [kind, seen] : outcomes) reached = reached || seen.count(status) != 0;
+    EXPECT_TRUE(reached) << fs::to_string(status) << " never returned";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NamespaceProperty, ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// A directory far wider than the table's initial size, filled through a
+// handle while every insert may move the whole table: each entry must land
+// in the directory the handle names (the re-fetch-after-insert rule; ASan
+// catches a stale reference as a use-after-free).
+TEST(NamespaceProperty, WideDirectoryBuiltWhileTheTableGrows) {
+  fs::SimulatedFileSystem by_path, by_handle;
+  double ticks_path = 0.0, ticks_handle = 0.0;
+  by_path.set_clock([&ticks_path] { return ticks_path += 1.0; });
+  by_handle.set_clock([&ticks_handle] { return ticks_handle += 1.0; });
+  ASSERT_EQ(by_path.mkdir("/wide"), fs::FsStatus::ok);
+  const fs::InodeId wide = by_handle.mkdir_at(1, "wide").value();
+  constexpr std::size_t kChildren = 10240;
+  for (std::size_t i = 0; i < kChildren; ++i) {
+    const std::string name = (i % 10 == 0 ? "dir" : "file") + std::to_string(i);
+    if (i % 10 == 0) {
+      ASSERT_EQ(by_path.mkdir("/wide/" + name), fs::FsStatus::ok);
+      ASSERT_TRUE(by_handle.mkdir_at(wide, name).ok());
+    } else {
+      const auto a = by_path.creat("/wide/" + name);
+      const auto b = by_handle.open_at(wide, name, fs::kWrite | fs::kCreate | fs::kTruncate);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      ASSERT_EQ(a.value(), b.value());
+      ASSERT_EQ(by_path.write(a.value(), i).status(), by_handle.write(b.value(), i).status());
+      ASSERT_EQ(by_path.close(a.value()), by_handle.close(b.value()));
+    }
+  }
+  EXPECT_EQ(by_handle.readdir("/wide").value().size(), kChildren);
+  EXPECT_EQ(by_handle.stat(wide).value().size, by_path.stat("/wide").value().size);
+  EXPECT_EQ(expect_same_tree(by_path, by_handle, "/"), kChildren + 2);
+  EXPECT_EQ(by_path.bytes_in_use(), by_handle.bytes_in_use());
+  EXPECT_EQ(by_handle.inode_count(), kChildren + 2);
+}
+
+// A collected inode's slot stays in the table, dead: its handle answers
+// not_found like its former path, through every handle call, and no later
+// inode takes its id.
+TEST(NamespaceProperty, CollectedInodeHandlesAnswerNotFound) {
+  fs::SimulatedFileSystem fsys;
+  ASSERT_EQ(fsys.mkdir("/d"), fs::FsStatus::ok);
+  std::vector<fs::InodeId> dead;
+  for (int round = 0; round < 50; ++round) {
+    const std::string name = "t" + std::to_string(round);
+    const auto fd = fsys.creat("/d/" + name);
+    ASSERT_TRUE(fd.ok());
+    const fs::InodeId id = fsys.fstat(fd.value()).value().inode;
+    for (const fs::InodeId old : dead) EXPECT_GT(id, old);
+    ASSERT_EQ(fsys.unlink("/d/" + name), fs::FsStatus::ok);
+    if (round % 2 == 0) {  // unlinked while open: alive until the close
+      EXPECT_TRUE(fsys.stat(id).ok());
+      const auto again = fsys.open(id, fs::kRead);
+      ASSERT_TRUE(again.ok());
+      ASSERT_EQ(fsys.close(again.value()), fs::FsStatus::ok);
+    }
+    ASSERT_EQ(fsys.close(fd.value()), fs::FsStatus::ok);
+    dead.push_back(id);
+    if (round % 5 == 0) {  // a collected directory too
+      ASSERT_EQ(fsys.mkdir("/d/sub"), fs::FsStatus::ok);
+      const fs::InodeId sub = fsys.stat("/d/sub").value().inode;
+      ASSERT_EQ(fsys.rmdir("/d/sub"), fs::FsStatus::ok);
+      dead.push_back(sub);
+    }
+    for (const fs::InodeId old : dead) {
+      EXPECT_EQ(fsys.stat(old).status(), fs::FsStatus::not_found);
+      EXPECT_EQ(fsys.stat(old).status(), fsys.stat("/d/" + name).status());
+      EXPECT_EQ(fsys.open(old, fs::kRead).status(), fs::FsStatus::not_found);
+      EXPECT_EQ(fsys.open(old, fs::kRead).status(),
+                fsys.open("/d/" + name, fs::kRead).status());
+      EXPECT_EQ(fsys.open_at(old, "x", fs::kRead | fs::kCreate).status(),
+                fs::FsStatus::not_found);
+      EXPECT_EQ(fsys.mkdir_at(old, "x").status(), fs::FsStatus::not_found);
+      EXPECT_EQ(fsys.unlink_at(old, "x"), fs::FsStatus::not_found);
+      EXPECT_EQ(fsys.lookup(old, "x").status(), fs::FsStatus::not_found);
+    }
+  }
+  EXPECT_EQ(fsys.inode_count(), 2u);  // the root and /d
+  EXPECT_EQ(fsys.open_descriptor_count(), 0u);
+}
 
 // ---------------------------------------------------------------------------
 // USIM under model parameter sweeps: structural invariants hold everywhere.

@@ -352,16 +352,18 @@ TEST(Usim, NewFilesLandInUserDirectories) {
   usim.run();
   // New files are scattered across the user's home and its subdirectories.
   const FileCategory user_dirs{FileType::directory, FileOwner::user, UseMode::read_only};
-  bool saw_new = false;
+  std::size_t dirs_with_new = 0;
   for (std::size_t idx : rig.manifest.pool(user_dirs, 0)) {
     const auto names = rig.fsys.readdir(rig.manifest.files()[idx].path);
     if (!names.ok()) continue;
+    bool saw_new = false;
     for (const auto& name : names.value()) {
       if (name.starts_with("new_")) saw_new = true;
       EXPECT_FALSE(name.starts_with("tmp_")) << name;  // temps were unlinked
     }
+    if (saw_new) ++dirs_with_new;
   }
-  EXPECT_TRUE(saw_new);
+  EXPECT_GE(dirs_with_new, 2u);
 }
 
 TEST(Usim, ThinkTimeModulatorSlowsSimulatedTime) {
