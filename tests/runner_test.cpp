@@ -13,11 +13,14 @@
 
 #include "core/analysis.h"
 #include "core/presets.h"
+#include "exp/workload.h"
 #include "fs/filesystem.h"
 #include "fsmodel/nfs_model.h"
 #include "runner/checkpoint.h"
 #include "runner/contended_runner.h"
 #include "runner/sharded_runner.h"
+#include "scenario/run.h"
+#include "scenario/spec.h"
 
 namespace wlgen::runner {
 namespace {
@@ -667,6 +670,185 @@ TEST(ContendedRunner, ValidatesConfigurationAndRunsOnce) {
   ContendedRunner run(contended_config({1}, 1, 1));
   run.run();
   EXPECT_THROW(run.run(), std::logic_error);
+}
+
+
+// --- absolute digest pins of every universe-building path --------------------
+//
+// The invariance tests above compare a run against itself under another
+// shard or thread count, so a change that moves every run the same way
+// (say, faults installed before the model posts its own events) passes all
+// of them.  These pins hold the exact output of each path that builds a
+// simulated universe: the sharded and contended runners, the replay-mode
+// synthetic leg (scenario generate_shared) and exp::run_workload.  The
+// expected values were recorded before the paths were folded onto one
+// builder; never regenerate them to make a change pass.
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string pin_line(const char* key, double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%s=%.17g\n", key, value);
+  return buffer;
+}
+
+std::string pin_hash(const char* key, const std::string& text) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%s=%016llx\n", key,
+                static_cast<unsigned long long>(fnv1a(text)));
+  return buffer;
+}
+
+std::string stats_pin(const RunnerStats& stats) {
+  return "ops=" + std::to_string(stats.ops()) + "\nbytes=" +
+         std::to_string(stats.bytes_moved()) + "\n" +
+         pin_line("response_mean", stats.response_us().mean()) +
+         pin_line("response_var", stats.response_us().variance()) +
+         pin_line("response_per_byte", stats.response_per_byte_us());
+}
+
+traffic::FaultPlan pinned_faults() {
+  traffic::FaultPlan faults;
+  faults.slowdowns = {{5e6, 15e6, 4.0}};
+  faults.flush_times_us = {10e6};
+  faults.churns = {{0.0, 25e6, 0.5}};
+  return faults;
+}
+
+TEST(UniversePins, ShardedWithArrivalsAndFaults) {
+  RunnerConfig config;
+  config.num_users = 3;
+  config.shards = 2;
+  config.threads = 2;
+  config.seed = 31;
+  config.usim.sessions_per_user = 3;
+  config.population = core::mixed_population(0.5);
+  traffic::ArrivalConfig arrivals;
+  arrivals.rate_per_sec = 0.5;
+  arrivals.sessions = 9;
+  config.traffic.arrivals = arrivals;
+  config.traffic.faults = pinned_faults();
+  config.obs.metrics_file = "unused";  // collect the stable sim/RNG counters
+  ShardedRunner run(config);
+  const RunnerResult result = run.run();
+
+  std::uint64_t events = 0;
+  for (const auto& shard : result.shards) events += shard.events;
+  const std::string pin = stats_pin(result.stats) + "sessions=" +
+                          std::to_string(result.sessions_completed) + "\nevents=" +
+                          std::to_string(events) + "\n" +
+                          pin_line("max_simulated_us", result.max_simulated_us) +
+                          pin_hash("log", result.log.serialize()) +
+                          pin_hash("obs", result.registry.stable_text());
+  EXPECT_EQ(pin,
+            "ops=4560\n"
+            "bytes=3449973\n"
+            "response_mean=2941.9762062456994\n"
+            "response_var=152254897.1084705\n"
+            "response_per_byte=3.888555504776535\n"
+            "sessions=9\n"
+            "events=15198\n"
+            "max_simulated_us=39096332.212184563\n"
+            "log=cc25335b4e55a062\n"
+            "obs=df73a96e4e9575b0\n");
+}
+
+TEST(UniversePins, ContendedWithTunedModelAndFaults) {
+  ContendedConfig config = contended_config({3}, 2, 2);
+  config.seed = 17;
+  config.tune_model = [](fsmodel::FileSystemModel& model) { model.set_service_scale(1.5); };
+  config.traffic.faults = pinned_faults();
+  config.obs.metrics_file = "unused";
+  ContendedRunner run(config);
+  const ContendedResult result = run.run();
+
+  const ContendedPoint& point = result.points.at(0);
+  std::string pin = stats_pin(point.stats) + "sessions=" +
+                    std::to_string(point.sessions_completed) + "\n";
+  for (const auto& rep : result.replications) {
+    pin += "rep " + std::to_string(rep.replication) + " ops=" + std::to_string(rep.ops) +
+           " events=" + std::to_string(rep.events) + "\n";
+    pin += pin_line("  simulated_us", rep.simulated_us);
+  }
+  pin += pin_line("level0", point.replication_levels.at(0)) +
+         pin_line("level1", point.replication_levels.at(1)) +
+         pin_hash("obs", result.registry.stable_text());
+  EXPECT_EQ(pin,
+            "ops=10593\n"
+            "bytes=8914011\n"
+            "response_mean=2392.1090786671616\n"
+            "response_var=132584711.91072388\n"
+            "response_per_byte=2.84267222357267\n"
+            "sessions=12\n"
+            "rep 0 ops=6045 events=19632\n"
+            "  simulated_us=89232160.48467657\n"
+            "rep 1 ops=4548 events=15643\n"
+            "  simulated_us=39091576.468866244\n"
+            "level0=1.8782335728906614\n"
+            "level1=4.1497894630456997\n"
+            "obs=8cba7926808e39f4\n");
+}
+
+TEST(UniversePins, ReplayWithSyntheticUsers) {
+  const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse_text(
+      "[scenario]\nmode = replay\nname = pin-replay\nseed = 13\n"
+      "[workload]\nusers = 2\nsessions = 2\nheavy_fraction = 0.5\n"
+      "[replay]\nclosed_loop = false\nsynthetic_users = 3\n"
+      "[model]\nname = nfs\n");
+  scenario::RunOptions options;
+  options.metrics_file =
+      (std::filesystem::path(::testing::TempDir()) / "wlgen_pin_replay_metrics.json").string();
+  const scenario::ScenarioOutcome outcome = scenario::run_scenario(spec, options);
+  std::filesystem::remove(options.metrics_file);
+  EXPECT_EQ(outcome.stats_digest,
+            "scenario pin-replay mode=replay seed=13\n"
+            "model nfs\n"
+            "point users=2 label=\"trace replay (open loop)\" ops=3214 sessions=4 bytes=2569337\n"
+            "  response_us count=3214 mean=1363.5117585713783 stddev=4399.3736369849594 min=110 max=58106.455999056809\n"
+            "  access_size count=2717 mean=945.65218991534721 stddev=918.16342590663226\n"
+            "  response_per_byte pooled=1.7056255337654895 mean=1.7056255337654895 ci_half=0\n"
+            "point users=3 label=\"synthetic\" ops=3967 sessions=6 bytes=3201003\n"
+            "  response_us count=3967 mean=1687.1031537484243 stddev=5628.2147152374082 min=110 max=64129.296657511964\n"
+            "  access_size count=3349 mean=955.80859958196424 stddev=928.1247078754368\n"
+            "  response_per_byte pooled=2.0908253478425411 mean=2.0908253478425411 ci_half=0\n");
+  EXPECT_EQ(pin_hash("log", outcome.models.at(0).log.serialize()) +
+                pin_hash("obs", outcome.obs_text),
+            "log=fcca539bd0b507c3\n"
+            "obs=74fb436a03c1de53\n");
+}
+
+TEST(UniversePins, RunWorkloadWithArrivalsAndFaults) {
+  exp::WorkloadConfig config;
+  config.num_users = 2;
+  config.sessions_per_user = 3;
+  config.seed = 23;
+  traffic::ArrivalConfig arrivals;
+  arrivals.rate_per_sec = 0.2;
+  arrivals.sessions = 6;
+  config.traffic.arrivals = arrivals;
+  config.traffic.faults = pinned_faults();
+  const exp::WorkloadOutput out = exp::run_workload(config);
+
+  const std::string pin = "ops=" + std::to_string(out.total_ops) + "\nlog_ops=" +
+                          std::to_string(out.log.size()) + "\n" +
+                          pin_line("simulated_us", out.simulated_us) +
+                          pin_line("response_per_byte", out.response_per_byte_us) +
+                          pin_hash("log", out.log.serialize()) +
+                          pin_hash("model_stats", out.model_stats);
+  EXPECT_EQ(pin,
+            "ops=3436\n"
+            "log_ops=3436\n"
+            "simulated_us=40784329.653074682\n"
+            "response_per_byte=2.5358378836978437\n"
+            "log=0111800054e0a052\n"
+            "model_stats=07082a111ca0bcd0\n");
 }
 
 }  // namespace
