@@ -31,26 +31,22 @@ exp::Experiment make_compare_fs() {
   };
 
   experiment.run = [](const exp::RunContext& ctx) {
-    const std::vector<std::pair<std::string, exp::ModelKind>> candidates = {
-        {"nfs", exp::ModelKind::nfs},
-        {"local", exp::ModelKind::local},
-        {"wholefile", exp::ModelKind::wholefile},
-    };
+    const std::vector<std::string> candidates = {"nfs", "local", "wholefile"};
     exp::ExperimentResult result;
     result.x_label = "number of simultaneous users";
     result.y_label = "response time per byte (us)";
     std::map<std::string, std::map<std::size_t, double>> levels;
     for (const std::size_t users : {1UL, 4UL}) {
-      for (const auto& [name, kind] : candidates) {
+      for (const auto& name : candidates) {
         exp::WorkloadConfig config;
         config.num_users = users;
         config.sessions_per_user = ctx.sessions(40);
-        config.model = kind;
+        config.model_factory = runner::model_factory_by_name(name);
         config.seed = ctx.seed + 53;
         levels[name][users] = exp::run_workload(config).response_per_byte_us;
       }
     }
-    for (const auto& [name, kind] : candidates) {
+    for (const auto& name : candidates) {
       result.add_series(name, {1.0, 4.0}, {levels[name][1], levels[name][4]});
       result.set_scalar(name + "_us_per_byte_1u", levels[name][1]);
       result.set_scalar(name + "_us_per_byte_4u", levels[name][4]);

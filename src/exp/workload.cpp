@@ -3,48 +3,16 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 
-#include "fs/filesystem.h"
-#include "fsmodel/local_model.h"
-#include "fsmodel/nfs_model.h"
-#include "fsmodel/wholefile_model.h"
 #include "runner/contended_runner.h"
+#include "runner/universe.h"
 #include "sim/simulation.h"
 
 namespace wlgen::exp {
 
-namespace {
-
-std::unique_ptr<fsmodel::FileSystemModel> make_model(ModelKind kind, sim::Simulation& sim) {
-  switch (kind) {
-    case ModelKind::nfs: return std::make_unique<fsmodel::NfsModel>(sim);
-    case ModelKind::local: return std::make_unique<fsmodel::LocalDiskModel>(sim);
-    case ModelKind::wholefile: return std::make_unique<fsmodel::WholeFileCacheModel>(sim);
-  }
-  throw std::logic_error("make_model: bad kind");
-}
-
-}  // namespace
-
 WorkloadOutput run_workload(const WorkloadConfig& config) {
-  sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  auto model = make_model(config.model, simulation);
-  if (config.tune_model) config.tune_model(*model);
   config.traffic.validate();
-  if (config.traffic.faults.any()) {
-    traffic::install_faults(simulation, *model, config.traffic.faults);
-  }
-
-  core::FscConfig fsc_config;
-  fsc_config.num_users = config.num_users;
-  fsc_config.seed = config.seed;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
   core::UsimConfig usim_config = config.usim;
   usim_config.num_users = config.num_users;
   usim_config.sessions_per_user = config.sessions_per_user;
@@ -53,12 +21,14 @@ WorkloadOutput run_workload(const WorkloadConfig& config) {
     usim_config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
         traffic::assign_arrivals(*config.traffic.arrivals, config.num_users, config.seed));
   }
-  usim_config.churn = config.traffic.faults.churns;
 
-  core::Population population = config.population;
-  if (population.groups.empty()) population = core::default_population();
-
-  core::UserSimulator usim(simulation, fsys, *model, manifest, population, usim_config);
+  sim::Simulation simulation;
+  runner::Universe universe(
+      simulation, config.model_factory ? config.model_factory : runner::nfs_model_factory(),
+      core::di86_file_profiles(), {},
+      config.population.groups.empty() ? core::default_population() : config.population,
+      std::move(usim_config), config.traffic.faults);
+  core::UserSimulator& usim = universe.usim();
   usim.run();
 
   const core::UsageAnalyzer analyzer(usim.log());
@@ -71,8 +41,8 @@ WorkloadOutput run_workload(const WorkloadConfig& config) {
   out.per_op = analyzer.per_op_stats();
   out.total_ops = usim.total_ops();
   out.simulated_us = simulation.now();
-  out.model_stats = model->stats_summary();
-  out.log = usim.log();
+  out.model_stats = universe.model().stats_summary();
+  out.log = usim.take_log();
   return out;
 }
 
@@ -86,13 +56,7 @@ std::vector<ContendedSweepPoint> contended_response_sweep(const ContendedSweepCo
   contended.seed = config.seed;
   contended.usim.sessions_per_user = config.sessions_per_user;
   contended.population = config.population;
-  // One ModelKind mapping for the whole file: a kind make_model doesn't
-  // know throws, instead of leaving a null factory for the runner's NFS
-  // default to paper over.
-  contended.model_factory = [kind = config.model](sim::Simulation& sim) {
-    return make_model(kind, sim);
-  };
-  contended.tune_model = config.tune_model;
+  contended.model_factory = config.model_factory;
 
   runner::ContendedRunner run(std::move(contended));
   const runner::ContendedResult result = run.run();

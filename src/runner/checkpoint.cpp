@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/rng.h"
 #include "util/strings.h"
 #include "util/svg.h"
 
@@ -28,6 +29,14 @@ std::string checkpoint_path(const std::string& spool_dir, std::size_t shard) {
   std::snprintf(buffer, sizeof buffer, "%06zu", shard);
   return (std::filesystem::path(spool_dir) / ("shard" + std::string(buffer) + ".ckpt"))
       .string();
+}
+
+std::string file_identity(const std::string& path) {
+  if (path.empty()) return "";
+  char hash[24];
+  std::snprintf(hash, sizeof hash, "#%016llx",
+                static_cast<unsigned long long>(util::hash_label(util::read_text_file(path))));
+  return path + hash;
 }
 
 void write_checkpoint(const std::string& path, const ShardCheckpoint& c,

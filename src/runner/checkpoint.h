@@ -40,6 +40,12 @@ struct ShardCheckpoint {
 /// `<spool_dir>/shard<NNNNNN>.ckpt`.
 std::string checkpoint_path(const std::string& spool_dir, std::size_t shard);
 
+/// Checkpoint identity of an input file: its path plus an FNV-1a hash of its
+/// current contents, so a resume after the file was edited in place is
+/// refused like any other configuration change ("" for an empty path).
+/// Throws std::runtime_error when the file cannot be read.
+std::string file_identity(const std::string& path);
+
 /// Writes atomically (tmp + rename) so an interrupted run never leaves a
 /// half-written checkpoint.  Throws std::runtime_error on I/O failure.
 void write_checkpoint(const std::string& path, const ShardCheckpoint& checkpoint,

@@ -7,9 +7,9 @@
 #include <utility>
 
 #include "core/presets.h"
-#include "fs/filesystem.h"
 #include "obs/progress.h"
 #include "runner/pool.h"
+#include "runner/universe.h"
 #include "util/rng.h"
 
 namespace wlgen::runner {
@@ -60,23 +60,6 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
                                       obs::SimSample* sample, obs::TraceRing* op_ring) const {
   sim.reset();
 
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&sim] { return sim.now(); });
-  auto model = config_.model_factory(sim);
-  if (config_.tune_model) config_.tune_model(*model);
-  // Fault events land on the replication's shared model — the server-side
-  // disturbance every user of the point experiences together.
-  if (config_.traffic.faults.any()) {
-    traffic::install_faults(sim, *model, config_.traffic.faults);
-  }
-
-  core::FscConfig fsc_config = config_.fsc;
-  fsc_config.num_users = users;
-  fsc_config.first_user = 0;
-  fsc_config.seed = seed;
-  core::FileSystemCreator fsc(fsys, config_.profiles, fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
   core::UsimConfig usim_config = config_.usim;
   usim_config.num_users = users;
   usim_config.first_user = 0;
@@ -90,7 +73,6 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
     usim_config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
         traffic::assign_arrivals(*config_.traffic.arrivals, users, seed));
   }
-  usim_config.churn = config_.traffic.faults.churns;
   // Same single-observation-point pattern as ShardedRunner::run_user: obs
   // off means the historical record hook, bit for bit.
   if (sample == nullptr) {
@@ -108,7 +90,11 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
     };
   }
 
-  core::UserSimulator usim(sim, fsys, *model, manifest, config_.population, usim_config);
+  // Fault events land on the replication's shared model — the server-side
+  // disturbance every user of the point experiences together.
+  Universe universe(sim, config_.model_factory, config_.profiles, config_.fsc,
+                    config_.population, std::move(usim_config), config_.traffic.faults);
+  core::UserSimulator& usim = universe.usim();
   usim.run();
 
   out.simulated_us = sim.now();

@@ -1,13 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/fsc.h"
 #include "core/usim.h"
 #include "core/workload.h"
-#include "fsmodel/model.h"
 #include "obs/obs.h"
 #include "runner/model_factory.h"
 #include "runner/stats.h"
@@ -75,12 +73,9 @@ struct ContendedConfig {
   HistogramSpec histogram;
 
   /// Model per replication — shared by all of that replication's users
-  /// (null = nfs_model_factory()).
+  /// (null = nfs_model_factory()).  A parameter ablation is a factory that
+  /// tunes the model it builds.
   ModelFactory model_factory;
-
-  /// Optional tuning applied to every freshly built model (parameter
-  /// ablations), invoked before any op is planned.
-  std::function<void(fsmodel::FileSystemModel&)> tune_model;
 
   /// Observability switches (all off by default — the default run takes
   /// exactly the uninstrumented hot path).

@@ -11,10 +11,10 @@
 #include <utility>
 
 #include "core/presets.h"
-#include "fs/filesystem.h"
 #include "obs/progress.h"
 #include "runner/checkpoint.h"
 #include "runner/pool.h"
+#include "runner/universe.h"
 
 namespace wlgen::runner {
 
@@ -100,23 +100,6 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
                              core::LogSink* sink, stats::QuantileSketch* sketch) const {
   sim.reset();
 
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&sim] { return sim.now(); });
-  auto model = config_.model_factory(sim);
-  // Every user universe gets the same fault timeline — slowdown windows and
-  // cache flushes are server-side events that exist in each universe's copy
-  // of the environment, keeping the per-user purity the merge relies on.
-  if (config_.traffic.faults.any()) {
-    traffic::install_faults(sim, *model, config_.traffic.faults);
-  }
-
-  core::FscConfig fsc_config = config_.fsc;
-  fsc_config.num_users = 1;
-  fsc_config.first_user = user;
-  fsc_config.seed = config_.seed;
-  core::FileSystemCreator fsc(fsys, config_.profiles, fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
   core::UsimConfig usim_config = config_.usim;
   usim_config.num_users = 1;
   usim_config.first_user = user;
@@ -125,7 +108,6 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
   usim_config.collect_log = config_.collect_log;
   usim_config.sink = sink;  // non-null => records stream to the shard's runs
   usim_config.arrival_times_us = arrivals_;
-  usim_config.churn = config_.traffic.faults.churns;
   // The record hook is the single observation point: when obs is off the
   // lambda is the minimal stats+sketch one, so the hot path stays lean.
   if (sample == nullptr) {
@@ -148,7 +130,12 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
     };
   }
 
-  core::UserSimulator usim(sim, fsys, *model, manifest, config_.population, usim_config);
+  // Every user universe gets the same fault timeline — slowdown windows and
+  // cache flushes are server-side events that exist in each universe's copy
+  // of the environment, keeping the per-user purity the merge relies on.
+  Universe universe(sim, config_.model_factory, config_.profiles, config_.fsc,
+                    config_.population, std::move(usim_config), config_.traffic.faults);
+  core::UserSimulator& usim = universe.usim();
   usim.run();
 
   out.log = usim.take_log();

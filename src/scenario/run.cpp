@@ -9,16 +9,15 @@
 #include <sstream>
 #include <utility>
 
-#include "core/fsc.h"
 #include "core/log_sink.h"
 #include "core/presets.h"
 #include "core/replay.h"
-#include "core/usim.h"
-#include "fs/filesystem.h"
 #include "obs/progress.h"
+#include "runner/checkpoint.h"
 #include "runner/contended_runner.h"
 #include "runner/pool.h"
 #include "runner/sharded_runner.h"
+#include "runner/universe.h"
 #include "util/svg.h"
 #include "util/table.h"
 
@@ -62,20 +61,12 @@ core::UsageLog generate_shared(const ScenarioSpec& spec, const ModelChoice& mode
                                std::size_t users, std::uint64_t& sessions_out,
                                obs::SimSample* sample = nullptr) {
   sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  auto fsmodel = model.factory()(simulation);
-
-  core::FscConfig fsc_config;
-  fsc_config.num_users = users;
-  fsc_config.seed = spec.seed;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
   core::UsimConfig config = spec.usim_config();
   config.num_users = users;
   config.seed = spec.seed;
-  core::UserSimulator usim(simulation, fsys, *fsmodel, manifest, spec.population(), config);
+  runner::Universe universe(simulation, model.factory(), core::di86_file_profiles(), {},
+                            spec.population(), std::move(config), {});
+  core::UserSimulator& usim = universe.usim();
   usim.run();
   sessions_out = usim.sessions_completed();
   if (sample != nullptr) {
@@ -90,7 +81,8 @@ core::UsageLog generate_shared(const ScenarioSpec& spec, const ModelChoice& mode
 /// Scenario-level identity folded into checkpoint fingerprints: everything
 /// that shapes the record streams but is invisible to RunnerConfig's own
 /// fingerprint fields (model + overrides, population shape, behaviour
-/// switches).  Single line — the checkpoint format is line-based.
+/// switches, the GDS file's path and contents).  Single line — the
+/// checkpoint format is line-based.
 std::string spill_config_tag(const ScenarioSpec& spec, const ModelChoice& model) {
   std::ostringstream tag;
   tag << "model=" << model.name;
@@ -98,7 +90,7 @@ std::string spill_config_tag(const ScenarioSpec& spec, const ModelChoice& model)
   tag << " heavy=" << exact(spec.heavy_fraction)
       << " pattern=" << static_cast<int>(spec.pattern) << " markov=" << exact(spec.markov)
       << " think=" << spec.think_time << " access=" << spec.access_size
-      << " gds=" << spec.gds_file;
+      << " gds=" << runner::file_identity(spec.gds_file);
   // Traffic identity (arrivals + faults): appended only when configured so
   // pre-traffic checkpoints keep validating.
   if (spec.traffic.any()) tag << " " << spec.traffic.tag();

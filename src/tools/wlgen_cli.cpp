@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/fsc.h"
 #include "core/log_sink.h"
 #include "core/presets.h"
 #include "core/replay.h"
@@ -41,9 +41,11 @@
 #include "experiments.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
+#include "runner/checkpoint.h"
 #include "runner/contended_runner.h"
 #include "runner/pool.h"
 #include "runner/sharded_runner.h"
+#include "runner/universe.h"
 #include "scenario/run.h"
 #include "scenario/spec.h"
 #include "tools/cli_spec.h"
@@ -64,12 +66,6 @@ using util::Args;
 int usage() {
   std::cerr << util::render_usage("wlgen", cli::command_specs());
   return 1;
-}
-
-std::unique_ptr<fsmodel::FileSystemModel> make_model(const std::string& name,
-                                                     sim::Simulation& simulation) {
-  // One nfs|local|wholefile dispatch table for both CLI paths.
-  return runner::model_factory_by_name(name)(simulation);
 }
 
 /// The `run` command's --metrics/--trace/--trace-events/--progress flags as
@@ -185,9 +181,16 @@ int cmd_run_sharded(const Args& args, std::size_t users, std::size_t sessions,
     config.spill.spool_dir = args.get("spool-dir", ".wlgen-spool/cli-run");
     config.spill.checkpoint = checkpoint;
     config.spill.resume = args.boolean("resume");
-    config.spill.config_tag = "cli model=" + args.get("model", "nfs") + " heavy=" +
-                              args.get("heavy", "1") + " markov=" + args.get("markov", "-1") +
-                              " pattern=" + args.get("pattern", "seq");
+    // Built from the parsed values (`--heavy 1` and `--heavy 1.0` are one
+    // configuration) plus the --spec file's contents, so a resume under an
+    // edited or different GDS file is refused.
+    std::ostringstream tag;
+    tag << std::setprecision(17) << "cli model=" << args.get("model", "nfs")
+        << " heavy=" << args.number("heavy", 1.0)
+        << " markov=" << config.usim.markov_persistence
+        << " pattern=" << static_cast<int>(config.usim.pattern)
+        << " gds=" << runner::file_identity(args.get("spec", ""));
+    config.spill.config_tag = tag.str();
   }
 
   runner::ShardedRunner run(std::move(config));
@@ -402,25 +405,17 @@ int cmd_run(const Args& args) {
   }
 
   sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  auto model = make_model(args.get("model", "nfs"), simulation);
-
-  core::FscConfig fsc_config;
-  fsc_config.num_users = users;
-  fsc_config.seed = seed;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
-  core::UserSimulator usim(simulation, fsys, *model, manifest, population, config);
+  runner::Universe universe(simulation, runner::model_factory_by_name(args.get("model", "nfs")),
+                            core::di86_file_profiles(), {}, population, std::move(config), {});
+  core::UserSimulator& usim = universe.usim();
   usim.run();
   if (progress) progress->stop();
 
-  std::cout << "model: " << model->name() << "  users: " << users << "  sessions: "
+  std::cout << "model: " << universe.model().name() << "  users: " << users << "  sessions: "
             << usim.sessions_completed() << "  simulated: " << simulation.now() / 1e6
             << " s\n\n";
   print_analysis(usim.log());
-  std::cout << "\n" << model->stats_summary();
+  std::cout << "\n" << universe.model().stats_summary();
 
   if (args.flags.count("log")) {
     util::write_text_file(args.get("log", ""), usim.log().serialize());
@@ -499,7 +494,7 @@ int cmd_replay(const Args& args) {
   const core::UsageLog trace = core::UsageLog::parse(util::read_text_file(args.positional[0]));
 
   sim::Simulation simulation;
-  auto model = make_model(args.get("model", "nfs"), simulation);
+  auto model = runner::model_factory_by_name(args.get("model", "nfs"))(simulation);
   core::TraceReplayer replayer(simulation, *model, trace);
   core::TraceReplayer::Options options;
   options.preserve_timing = !args.boolean("closed-loop");

@@ -677,8 +677,8 @@ TEST(ContendedRunner, ValidatesConfigurationAndRunsOnce) {
 //
 // The invariance tests above compare a run against itself under another
 // shard or thread count, so a change that moves every run the same way
-// (say, faults installed before the model posts its own events) passes all
-// of them.  These pins hold the exact output of each path that builds a
+// (say, an FSC seeded apart from the USIM, or churn windows that never
+// reach the USIM) passes all of them.  These pins hold the exact output of each path that builds a
 // simulated universe: the sharded and contended runners, the replay-mode
 // synthetic leg (scenario generate_shared) and exp::run_workload.  The
 // expected values were recorded before the paths were folded onto one
@@ -763,7 +763,13 @@ TEST(UniversePins, ShardedWithArrivalsAndFaults) {
 TEST(UniversePins, ContendedWithTunedModelAndFaults) {
   ContendedConfig config = contended_config({3}, 2, 2);
   config.seed = 17;
-  config.tune_model = [](fsmodel::FileSystemModel& model) { model.set_service_scale(1.5); };
+  // A tuned model is a factory that tunes what it builds, before the
+  // universe posts the fault plan's events.
+  config.model_factory = [](sim::Simulation& sim) {
+    auto model = nfs_model_factory()(sim);
+    model->set_service_scale(1.5);
+    return model;
+  };
   config.traffic.faults = pinned_faults();
   config.obs.metrics_file = "unused";
   ContendedRunner run(config);

@@ -25,6 +25,7 @@
 #include "scenario/spec.h"
 #include "sim/simulation.h"
 #include "tools/cli_spec.h"
+#include "util/svg.h"
 
 namespace wlgen::scenario {
 namespace {
@@ -340,6 +341,40 @@ TEST(ScenarioRun, ResumedScenarioReproducesTheDigest) {
   // digest byte for byte — the crash-recovery contract.
   EXPECT_EQ(digest_with_threads(resumed, 2), first);
   std::filesystem::remove_all(spool);
+}
+
+TEST(ScenarioRun, ResumeRefusesAGdsFileEditedInPlace) {
+  // The checkpoint fingerprint holds the GDS file's contents, not just its
+  // path: resuming after the file changed would otherwise merge shards
+  // simulated under the old distributions with nothing to show for it.
+  const auto dir = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_gds_resume";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string gds = (dir / "workload.gds").string();
+  const std::string spool = (dir / "spool").string();
+  const auto text = [&](const std::string& sharded_extra) {
+    return "[scenario]\nmode = sharded\nname = gds-resume\n"
+           "[workload]\nusers = 4\nsessions = 1\ngds = " + gds + "\n"
+           "[sharded]\nshards = 2\n" + sharded_extra +
+           "[log]\nspill = true\ncheckpoint = true\nspool_dir = " + spool + "\n"
+           "[model]\nname = nfs\n";
+  };
+
+  util::write_text_file(gds, "access_size = constant(256)\n");
+  const std::string first = digest_with_threads(text(""), 2);
+  // Unchanged file: every shard resumes and the digest is reproduced.
+  EXPECT_EQ(digest_with_threads(text("resume = true\n"), 2), first);
+
+  util::write_text_file(gds, "access_size = constant(4096)\n");
+  try {
+    digest_with_threads(text("resume = true\n"), 2);
+    ADD_FAILURE() << "resume under an edited GDS file must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("written under a different configuration"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioRun, SpilledScenarioStillWritesTheOutputLog) {
