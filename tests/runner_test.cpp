@@ -857,5 +857,151 @@ TEST(UniversePins, RunWorkloadWithArrivalsAndFaults) {
             "model_stats=07082a111ca0bcd0\n");
 }
 
+// --- USIM op-selection pins ------------------------------------------------
+//
+// The UniversePins above run the paper's independent op stream with one
+// window per user, so they never reach the USIM's other selection paths.
+// These pin the exact output of a USIM driven straight against an NFS
+// model under each of them: Markov persistence (low and high), several
+// concurrent windows per user, an op budget small enough to force
+// emergency closes, and a cramped file system whose descriptor limit makes
+// creat and open fail (and whose capacity runs out mid-run).  The expected
+// values were recorded before the op selector was reworked; never
+// regenerate them to make a change pass.
+
+struct UsimPinRig {
+  sim::Simulation simulation;
+  fs::SimulatedFileSystem fsys;
+  fsmodel::NfsModel model{simulation};
+  core::CreatedFileSystem manifest;
+
+  UsimPinRig(const core::UsimConfig& usim, fs::SimulatedFileSystem::Options fs_options,
+             core::FscConfig fsc)
+      : fsys(fs_options) {
+    fsys.set_clock([this] { return simulation.now(); });
+    fsc.num_users = usim.num_users;
+    fsc.seed = usim.seed;
+    manifest = core::FileSystemCreator(fsys, core::di86_file_profiles(), fsc).create();
+  }
+};
+
+std::string usim_pin(const core::UsimConfig& usim,
+                     fs::SimulatedFileSystem::Options fs_options = {},
+                     core::FscConfig fsc = {}) {
+  UsimPinRig rig(usim, fs_options, fsc);
+  core::UserSimulator sim(rig.simulation, rig.fsys, rig.model, rig.manifest,
+                          core::mixed_population(0.5), usim);
+  sim.run();
+  RunnerStats stats;
+  for (const auto& record : sim.log().records()) stats.add(record);
+  return stats_pin(stats) + "sessions=" + std::to_string(sim.sessions_completed()) +
+         "\nevents=" + std::to_string(rig.simulation.events_processed()) + "\ndraws=" +
+         std::to_string(sim.rng_draws()) + "\nopen_fds=" +
+         std::to_string(rig.fsys.open_descriptor_count()) + "\n" +
+         pin_line("simulated_us", rig.simulation.now()) + pin_hash("log", sim.log().serialize());
+}
+
+core::UsimConfig usim_pin_config(std::uint64_t seed) {
+  core::UsimConfig usim;
+  usim.num_users = 3;
+  usim.sessions_per_user = 4;
+  usim.seed = seed;
+  return usim;
+}
+
+TEST(UsimPins, MarkovLowPersistence) {
+  core::UsimConfig usim = usim_pin_config(41);
+  usim.markov_persistence = 0.3;
+  EXPECT_EQ(usim_pin(usim),
+            "ops=6524\n"
+            "bytes=5151390\n"
+            "response_mean=1447.2341403423718\n"
+            "response_var=28063090.920881882\n"
+            "response_per_byte=1.832855895514351\n"
+            "sessions=12\n"
+            "events=21098\n"
+            "draws=20640\n"
+            "open_fds=0\n"
+            "simulated_us=37749002.779453076\n"
+            "log=9a72314d9a376efb\n");
+}
+
+TEST(UsimPins, MarkovHighPersistence) {
+  core::UsimConfig usim = usim_pin_config(43);
+  usim.markov_persistence = 0.9;
+  EXPECT_EQ(usim_pin(usim),
+            "ops=9750\n"
+            "bytes=8060363\n"
+            "response_mean=1817.0319436833377\n"
+            "response_var=40035412.787490807\n"
+            "response_per_byte=2.197923524153004\n"
+            "sessions=12\n"
+            "events=33547\n"
+            "draws=30133\n"
+            "open_fds=0\n"
+            "simulated_us=73649815.536582455\n"
+            "log=615303394278476e\n");
+}
+
+TEST(UsimPins, ThreeWindowsPerUser) {
+  core::UsimConfig usim = usim_pin_config(47);
+  usim.windows_per_user = 3;
+  usim.sessions_per_user = 2;
+  EXPECT_EQ(usim_pin(usim),
+            "ops=9870\n"
+            "bytes=7907671\n"
+            "response_mean=5700.6560401119914\n"
+            "response_var=524802303.46984559\n"
+            "response_per_byte=7.1153029907168923\n"
+            "sessions=18\n"
+            "events=32834\n"
+            "draws=21852\n"
+            "open_fds=0\n"
+            "simulated_us=36803387.533901021\n"
+            "log=cef3d7f4668d3921\n");
+}
+
+TEST(UsimPins, OpBudgetForcesEmergencyCloses) {
+  core::UsimConfig usim = usim_pin_config(53);
+  usim.max_ops_per_session = 120;
+  usim.windows_per_user = 2;
+  usim.markov_persistence = 0.5;
+  EXPECT_EQ(usim_pin(usim),
+            "ops=2718\n"
+            "bytes=1655875\n"
+            "response_mean=7000.7787312841365\n"
+            "response_var=242683079.4012444\n"
+            "response_per_byte=11.491275966863631\n"
+            "sessions=24\n"
+            "events=10794\n"
+            "draws=8960\n"
+            "open_fds=0\n"
+            "simulated_us=12520162.59587393\n"
+            "log=b8d45feaaf263d7f\n");
+}
+
+TEST(UsimPins, CrampedFileSystemFailsCreatAndOpen) {
+  core::UsimConfig usim = usim_pin_config(59);
+  usim.windows_per_user = 2;
+  fs::SimulatedFileSystem::Options fs_options;
+  fs_options.max_open_files = 8;
+  fs_options.capacity_bytes = 3 * 1024 * 1024;
+  core::FscConfig fsc;
+  fsc.files_per_user = 24;
+  fsc.system_files = 48;
+  EXPECT_EQ(usim_pin(usim, fs_options, fsc),
+            "ops=1627\n"
+            "bytes=1398012\n"
+            "response_mean=1932.563725737042\n"
+            "response_var=52874977.504359707\n"
+            "response_per_byte=2.2491088644261756\n"
+            "sessions=24\n"
+            "events=5531\n"
+            "draws=4857\n"
+            "open_fds=0\n"
+            "simulated_us=15568041.506768616\n"
+            "log=770b85a8b423b95c\n");
+}
+
 }  // namespace
 }  // namespace wlgen::runner
