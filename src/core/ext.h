@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -43,6 +46,47 @@ class OpStreamPolicy {
   virtual std::unique_ptr<OpStreamPolicy> clone() const = 0;
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+};
+
+/// The work items of one login session that are not done yet, as ascending
+/// item indices: the candidates an OpStreamPolicy chooses among.  An item
+/// leaves once, when it is done, so picking an op is one binary search
+/// rather than a scan of every item.  The policy sees exactly the
+/// (count, previous position) that listing the live items afresh would
+/// give it, so every pick and every draw is the same.
+class LiveItems {
+ public:
+  /// Items [0, count) are all live.
+  void reset(std::size_t count) {
+    live_.resize(count);
+    std::iota(live_.begin(), live_.end(), std::uint32_t{0});
+  }
+  void clear() { live_.clear(); }
+  bool empty() const { return live_.empty(); }
+  std::size_t size() const { return live_.size(); }
+
+  /// Drops item `index` (a no-op when it is not live).
+  void retire(std::size_t index) {
+    const auto it = std::lower_bound(live_.begin(), live_.end(), index);
+    if (it != live_.end() && *it == index) live_.erase(it);
+  }
+
+  /// Item `index`'s position among the live items; kNone when not live.
+  std::size_t position_of(std::size_t index) const {
+    const auto it = std::lower_bound(live_.begin(), live_.end(), index);
+    if (it == live_.end() || *it != index) return OpStreamPolicy::kNone;
+    return static_cast<std::size_t>(it - live_.begin());
+  }
+
+  /// The item `policy` picks next, `previous` being the last picked item
+  /// (kNone at a session start).  Requires !empty().
+  std::size_t pick(const OpStreamPolicy& policy, std::size_t previous,
+                   util::RngStream& rng) const {
+    return live_[policy.choose(live_.size(), position_of(previous), rng)];
+  }
+
+ private:
+  std::vector<std::uint32_t> live_;
 };
 
 /// The paper's model: every operation picks a work item uniformly at random.

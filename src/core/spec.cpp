@@ -195,24 +195,27 @@ std::string format_number(double v) {
 
 dist::DistributionPtr parse_distribution(const std::string& text) { return Parser(text).parse(); }
 
-std::string serialize_distribution(const dist::Distribution& d) {
+namespace {
+
+/// serialize_distribution over a chosen number format.  The tabulated
+/// families are written by their normalised knots.
+std::string serialize_as(const dist::Distribution& d, std::string (*number)(double)) {
   if (const auto* c = dynamic_cast<const dist::ConstantDistribution*>(&d)) {
-    return "constant(" + format_number(c->value()) + ")";
+    return "constant(" + number(c->value()) + ")";
   }
   if (const auto* u = dynamic_cast<const dist::UniformDistribution*>(&d)) {
-    return "uniform(" + format_number(u->lower_bound()) + ", " + format_number(u->upper_bound()) +
-           ")";
+    return "uniform(" + number(u->lower_bound()) + ", " + number(u->upper_bound()) + ")";
   }
   if (const auto* e = dynamic_cast<const dist::ExponentialDistribution*>(&d)) {
-    return "exp(theta=" + format_number(e->theta()) + ", s=" + format_number(e->offset()) + ")";
+    return "exp(theta=" + number(e->theta()) + ", s=" + number(e->offset()) + ")";
   }
   if (const auto* p = dynamic_cast<const dist::PhaseTypeExponential*>(&d)) {
     std::string out = "phase_exp(";
     for (std::size_t i = 0; i < p->phases().size(); ++i) {
       const auto& ph = p->phases()[i];
       if (i != 0) out += ", ";
-      out += "(w=" + format_number(ph.weight) + ", theta=" + format_number(ph.theta) +
-             ", s=" + format_number(ph.offset) + ")";
+      out += "(w=" + number(ph.weight) + ", theta=" + number(ph.theta) + ", s=" +
+             number(ph.offset) + ")";
     }
     return out + ")";
   }
@@ -221,12 +224,39 @@ std::string serialize_distribution(const dist::Distribution& d) {
     for (std::size_t i = 0; i < g->stages().size(); ++i) {
       const auto& st = g->stages()[i];
       if (i != 0) out += ", ";
-      out += "(w=" + format_number(st.weight) + ", alpha=" + format_number(st.alpha) +
-             ", theta=" + format_number(st.theta) + ", s=" + format_number(st.offset) + ")";
+      out += "(w=" + number(st.weight) + ", alpha=" + number(st.alpha) +
+             ", theta=" + number(st.theta) + ", s=" + number(st.offset) + ")";
     }
     return out + ")";
   }
+  const auto knots = [&](std::string out, const std::vector<double>& xs,
+                         const std::vector<double>& values) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      out += i == 0 ? "((" : ", (";
+      out += number(xs[i]);
+      out += ", ";
+      out += number(values[i]);
+      out += ")";
+    }
+    return out + ")";
+  };
+  if (const auto* t = dynamic_cast<const dist::TabulatedPdf*>(&d)) {
+    return knots("pdf_table", t->xs(), t->fs());
+  }
+  if (const auto* t = dynamic_cast<const dist::TabulatedCdf*>(&d)) {
+    return knots("cdf_table", t->xs(), t->Fs());
+  }
   throw std::invalid_argument("serialize_distribution: unsupported family: " + d.describe());
+}
+
+}  // namespace
+
+std::string serialize_distribution(const dist::Distribution& d) {
+  return serialize_as(d, format_number);
+}
+
+std::string exact_distribution_text(const dist::Distribution& d) {
+  return serialize_as(d, util::exact_double);
 }
 
 void DistributionSpecifier::set(const std::string& name, DistRef distribution) {

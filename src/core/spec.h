@@ -25,9 +25,17 @@ namespace wlgen::core {
 /// Throws std::invalid_argument with a position-annotated message on errors.
 dist::DistributionPtr parse_distribution(const std::string& text);
 
-/// Serialises distributions of the known families back to parseable text.
+/// Serialises distributions of the known families back to parseable text
+/// (12 significant digits; tables by their normalised knots).
 /// Throws std::invalid_argument for foreign Distribution subclasses.
 std::string serialize_distribution(const dist::Distribution& d);
+
+/// Identity text of a parsed distribution for configuration tags: family
+/// and every parameter as util::exact_double, so two expressions that parse
+/// to the same distribution (say, differing only in whitespace) share a
+/// tag and any two that differ by one bit do not.  Throws
+/// std::invalid_argument for foreign subclasses.
+std::string exact_distribution_text(const dist::Distribution& d);
 
 /// The GDS replacement: a named collection of distributions with load/store,
 /// empirical fitting, terminal rendering and CDF-table emission — everything

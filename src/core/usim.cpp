@@ -52,6 +52,7 @@ struct UserSimulator::SessionSlot {
   std::uint32_t session_ordinal = 0;  ///< global session number for this user
   std::size_t sessions_done = 0;      ///< sessions completed in this slot
   std::vector<WorkItem> items;
+  LiveItems live;  ///< the items not yet done: the op selector's candidates
   std::size_t previous_item = OpStreamPolicy::kNone;
   std::size_t ops_this_session = 0;
   /// The op in flight.  A slot issues its next op only after the previous
@@ -292,6 +293,7 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
       slot.items.push_back(std::move(item));
     }
   }
+  slot.live.reset(slot.items.size());
   return !slot.items.empty();
 }
 
@@ -313,6 +315,7 @@ void UserSimulator::finish_session(UserState& user, SessionSlot& slot) {
   ++sessions_completed_;
   ++slot.sessions_done;
   slot.items.clear();
+  slot.live.clear();
   // Closed loop: a fixed per-slot session budget.  Open loop: the user's
   // arrival list is the budget (schedule_session_start stops at its end).
   if (user.arrivals == nullptr && slot.sessions_done >= config_.sessions_per_user) return;
@@ -384,15 +387,8 @@ void UserSimulator::complete_op(SessionSlot& slot, double elapsed) {
   }
   // Completion continues the session: pick the next operation after a
   // think time (already folded into schedule_next_op's delay).
-  bool all_done = true;
-  for (const auto& it : slot.items) {
-    if (it.state != WorkItem::State::done) {
-      all_done = false;
-      break;
-    }
-  }
   UserState& user = *slot.user;
-  if (all_done || slot.ops_this_session >= config_.max_ops_per_session) {
+  if (slot.live.empty() || slot.ops_this_session >= config_.max_ops_per_session) {
     // Emergency close of anything still open when the op budget blew.
     for (auto& it : slot.items) {
       if (it.fd >= 0) {
@@ -406,23 +402,17 @@ void UserSimulator::complete_op(SessionSlot& slot, double elapsed) {
   }
 }
 
+void UserSimulator::retire(SessionSlot& slot, std::size_t index) {
+  slot.items[index].state = WorkItem::State::done;
+  slot.live.retire(index);
+}
+
 void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
-  // Collect indices of unfinished items; map previous into that subset for
-  // the Markov policy.
-  std::vector<std::size_t>& active = active_scratch_;
-  active.clear();
-  std::size_t previous_active = OpStreamPolicy::kNone;
-  for (std::size_t i = 0; i < slot.items.size(); ++i) {
-    if (slot.items[i].state == WorkItem::State::done) continue;
-    if (i == slot.previous_item) previous_active = active.size();
-    active.push_back(i);
-  }
-  if (active.empty()) {
+  if (slot.live.empty()) {
     finish_session(user, slot);
     return;
   }
-
-  const std::size_t pick = active[policy_->choose(active.size(), previous_active, user.rng)];
+  const std::size_t pick = slot.live.pick(*policy_, slot.previous_item, user.rng);
   WorkItem& item = slot.items[pick];
   slot.previous_item = pick;
 
@@ -434,7 +424,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
       const auto fd =
           fsys_.open_at(item.dir, item.leaf, fs::kRead | fs::kWrite | fs::kCreate | fs::kTruncate);
       if (!fd.ok()) {
-        item.state = WorkItem::State::done;  // cannot create (e.g. no space)
+        retire(slot, pick);  // cannot create (e.g. no space)
         issue_next_op(user, slot);
         return;
       }
@@ -455,7 +445,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
       if (item.category.use == UseMode::read_write) flags |= fs::kWrite;
       const auto fd = fsys_.open(item.inode, flags);
       if (!fd.ok()) {
-        item.state = WorkItem::State::done;
+        retire(slot, pick);
         issue_next_op(user, slot);
         return;
       }
@@ -469,14 +459,17 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
     case WorkItem::State::need_close: {
       fsys_.close(item.fd);
       item.fd = -1;
-      item.state = item.category.use == UseMode::temp ? WorkItem::State::need_unlink
-                                                      : WorkItem::State::done;
+      if (item.category.use == UseMode::temp) {
+        item.state = WorkItem::State::need_unlink;
+      } else {
+        retire(slot, pick);
+      }
       issue(user, slot, item, fsmodel::FsOpType::close, 0, 0);
       return;
     }
     case WorkItem::State::need_unlink: {
       fsys_.unlink_at(item.dir, item.leaf);
-      item.state = WorkItem::State::done;
+      retire(slot, pick);
       issue(user, slot, item, fsmodel::FsOpType::unlink, 0, 0);
       return;
     }

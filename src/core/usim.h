@@ -194,6 +194,8 @@ class UserSimulator {
   void issue(UserState& user, SessionSlot& slot, WorkItem& item, fsmodel::FsOpType op,
              std::uint64_t requested, std::uint64_t actual);
   void complete_op(SessionSlot& slot, double elapsed);
+  /// Marks item `index` done and drops it from the slot's live index.
+  static void retire(SessionSlot& slot, std::size_t index);
   double sample_think(UserState& user);
   /// Picks the directory and leaf name of a file `item` will create.
   void place_new_file(UserState& user, UseMode use, WorkItem& item);
@@ -206,7 +208,6 @@ class UserSimulator {
   UsimConfig config_;
   std::unique_ptr<OpStreamPolicy> policy_;
   std::vector<std::unique_ptr<UserState>> users_;
-  std::vector<std::size_t> active_scratch_;  ///< issue_next_op's unfinished items
   UsageLog log_;
   std::uint64_t total_ops_ = 0;
   std::uint64_t sessions_completed_ = 0;

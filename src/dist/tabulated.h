@@ -28,6 +28,9 @@ class TabulatedPdf : public Distribution {
   std::string describe() const override;
   DistributionPtr clone() const override;
 
+  const std::vector<double>& xs() const { return xs_; }
+  const std::vector<double>& fs() const { return fs_; }
+
  private:
   std::vector<double> xs_;
   std::vector<double> fs_;   ///< normalised density at the knots
@@ -55,6 +58,9 @@ class TabulatedCdf : public Distribution {
   double upper_bound() const override { return xs_.back(); }
   std::string describe() const override;
   DistributionPtr clone() const override;
+
+  const std::vector<double>& xs() const { return xs_; }
+  const std::vector<double>& Fs() const { return fs_; }
 
  private:
   std::vector<double> xs_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "fsmodel/model.h"
+#include "util/strings.h"
 
 namespace wlgen::obs {
 
@@ -16,18 +17,6 @@ const char* to_string(MetricKind kind) {
   }
   return "?";
 }
-
-namespace {
-
-// Exact decimal text for a double: %.17g round-trips every finite value, so
-// equal bits produce equal text (the property stable_text() relies on).
-std::string exact(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-}  // namespace
 
 Metric& Registry::slot(std::string_view name, MetricKind kind, bool stable) {
   for (auto& metric : metrics_) {
@@ -85,7 +74,7 @@ std::string Registry::stable_text() const {
     text += metric.name;
     text += ' ';
     if (metric.kind == MetricKind::sum) {
-      text += exact(metric.value);
+      text += util::exact_double(metric.value);
     } else {
       char buffer[32];
       std::snprintf(buffer, sizeof(buffer), "%" PRIu64, metric.count);

@@ -16,12 +16,6 @@ namespace {
 
 constexpr const char* kSchema = "wlgen-checkpoint-v1";
 
-std::string exact(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
 }  // namespace
 
 std::string checkpoint_path(const std::string& spool_dir, std::size_t shard) {
@@ -51,7 +45,7 @@ void write_checkpoint(const std::string& path, const ShardCheckpoint& c,
   out << "events " << c.events << "\n";
   out << "rng_draws " << c.rng_draws << "\n";
   out << "heap_high_water " << c.heap_high_water << "\n";
-  out << "max_sim_us " << exact(c.max_simulated_us) << "\n";
+  out << "max_sim_us " << util::exact_double(c.max_simulated_us) << "\n";
   out << "runs " << c.runs.size() << "\n";
   for (const auto& run : c.runs) {
     out << "run " << run.records << " " << run.bytes << " " << run.path << "\n";

@@ -45,7 +45,7 @@ ContendedRunner::ContendedRunner(ContendedConfig config) : config_(std::move(con
   if (config_.replications == 0) {
     throw std::invalid_argument("ContendedRunner: need >= 1 replication");
   }
-  if (config_.profiles.empty()) config_.profiles = core::di86_file_profiles();
+  profiles_ = core::di86_file_profiles();
   if (config_.population.groups.empty()) config_.population = core::default_population();
   if (!config_.model_factory) config_.model_factory = nfs_model_factory();
   config_.traffic.validate();
@@ -92,7 +92,7 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
 
   // Fault events land on the replication's shared model — the server-side
   // disturbance every user of the point experiences together.
-  Universe universe(sim, config_.model_factory, config_.profiles, config_.fsc,
+  Universe universe(sim, config_.model_factory, profiles_, core::FscConfig{},
                     config_.population, std::move(usim_config), config_.traffic.faults);
   core::UserSimulator& usim = universe.usim();
   usim.run();

@@ -60,12 +60,6 @@ struct ContendedConfig {
   /// collect_log and the record hook are overwritten per replication.
   core::UsimConfig usim;
 
-  /// File-system layout; num_users/first_user/seed overwritten.
-  core::FscConfig fsc;
-
-  /// Initial-file-system category profiles (empty = core::di86_file_profiles()).
-  std::vector<core::FileCategoryProfile> profiles;
-
   /// User-type mixture (empty groups = core::default_population()).
   core::Population population;
 
@@ -177,6 +171,8 @@ class ContendedRunner {
                        obs::TraceRing* op_ring) const;
 
   ContendedConfig config_;
+  /// Every universe's initial-file-system profiles: core::di86_file_profiles().
+  std::vector<core::FileCategoryProfile> profiles_;
   bool ran_ = false;
 };
 

@@ -66,7 +66,7 @@ ShardedRunner::ShardedRunner(RunnerConfig config) : config_(std::move(config)) {
   if (config_.spill.resume && !config_.spill.checkpoint) {
     throw std::invalid_argument("ShardedRunner: resume requires checkpointing");
   }
-  if (config_.profiles.empty()) config_.profiles = core::di86_file_profiles();
+  profiles_ = core::di86_file_profiles();
   if (config_.population.groups.empty()) config_.population = core::default_population();
   if (!config_.model_factory) config_.model_factory = nfs_model_factory();
   config_.traffic.validate();
@@ -133,7 +133,7 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
   // Every user universe gets the same fault timeline — slowdown windows and
   // cache flushes are server-side events that exist in each universe's copy
   // of the environment, keeping the per-user purity the merge relies on.
-  Universe universe(sim, config_.model_factory, config_.profiles, config_.fsc,
+  Universe universe(sim, config_.model_factory, profiles_, core::FscConfig{},
                     config_.population, std::move(usim_config), config_.traffic.faults);
   core::UserSimulator& usim = universe.usim();
   usim.run();

@@ -76,12 +76,6 @@ struct RunnerConfig {
   /// overwritten per user range.
   core::UsimConfig usim;
 
-  /// Per-universe file-system layout; num_users/first_user/seed overwritten.
-  core::FscConfig fsc;
-
-  /// Initial-file-system category profiles (empty = core::di86_file_profiles()).
-  std::vector<core::FileCategoryProfile> profiles;
-
   /// User-type mixture (empty groups = core::default_population()).
   core::Population population;
 
@@ -221,6 +215,9 @@ class ShardedRunner {
   std::string fingerprint() const;
 
   RunnerConfig config_;
+
+  /// Every universe's initial-file-system profiles: core::di86_file_profiles().
+  std::vector<core::FileCategoryProfile> profiles_;
 
   /// Per-global-user session arrival lists (set once in run() before the
   /// worker pool starts; workers only read it).  Null in closed-loop runs.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -12,27 +11,20 @@
 #include "core/log_sink.h"
 #include "core/presets.h"
 #include "core/replay.h"
+#include "core/spec.h"
 #include "obs/progress.h"
 #include "runner/checkpoint.h"
 #include "runner/contended_runner.h"
 #include "runner/pool.h"
 #include "runner/sharded_runner.h"
 #include "runner/universe.h"
+#include "util/strings.h"
 #include "util/svg.h"
 #include "util/table.h"
 
 namespace wlgen::scenario {
 
 namespace {
-
-/// Shortest exact decimal text of a double: equal bits => equal text, so
-/// digests built from it inherit the runners' bit-identical merge
-/// guarantee.
-std::string exact(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 runner::RunnerStats stats_of_log(const core::UsageLog& log) {
   runner::RunnerStats stats;
@@ -83,13 +75,20 @@ core::UsageLog generate_shared(const ScenarioSpec& spec, const ModelChoice& mode
 /// fingerprint fields (model + overrides, population shape, behaviour
 /// switches, the GDS file's path and contents).  Single line — the
 /// checkpoint format is line-based.
+/// A distribution override as it parses, not as it was typed ("" = none).
+std::string parsed_identity(const std::string& expression) {
+  if (expression.empty()) return "";
+  return core::exact_distribution_text(*core::parse_distribution(expression));
+}
+
 std::string spill_config_tag(const ScenarioSpec& spec, const ModelChoice& model) {
   std::ostringstream tag;
   tag << "model=" << model.name;
-  for (const auto& o : model.overrides) tag << "," << o.key << "=" << exact(o.value);
-  tag << " heavy=" << exact(spec.heavy_fraction)
-      << " pattern=" << static_cast<int>(spec.pattern) << " markov=" << exact(spec.markov)
-      << " think=" << spec.think_time << " access=" << spec.access_size
+  for (const auto& o : model.overrides) tag << "," << o.key << "=" << util::exact_double(o.value);
+  tag << " heavy=" << util::exact_double(spec.heavy_fraction)
+      << " pattern=" << static_cast<int>(spec.pattern) << " markov=" << util::exact_double(spec.markov)
+      << " think=" << parsed_identity(spec.think_time)
+      << " access=" << parsed_identity(spec.access_size)
       << " gds=" << runner::file_identity(spec.gds_file);
   // Traffic identity (arrivals + faults): appended only when configured so
   // pre-traffic checkpoints keep validating.
@@ -258,15 +257,15 @@ void append_digest(std::ostringstream& out, const ModelOutcome& model) {
     out << " ops=" << p.ops << " sessions=" << p.sessions << " bytes="
         << p.stats.bytes_moved() << "\n";
     const auto& r = p.stats.response_us();
-    out << "  response_us count=" << r.count() << " mean=" << exact(r.mean())
-        << " stddev=" << exact(r.stddev()) << " min=" << exact(r.min())
-        << " max=" << exact(r.max()) << "\n";
+    out << "  response_us count=" << r.count() << " mean=" << util::exact_double(r.mean())
+        << " stddev=" << util::exact_double(r.stddev()) << " min=" << util::exact_double(r.min())
+        << " max=" << util::exact_double(r.max()) << "\n";
     const auto& a = p.stats.access_size();
-    out << "  access_size count=" << a.count() << " mean=" << exact(a.mean())
-        << " stddev=" << exact(a.stddev()) << "\n";
-    out << "  response_per_byte pooled=" << exact(p.stats.response_per_byte_us())
-        << " mean=" << exact(p.response_per_byte.mean)
-        << " ci_half=" << exact(p.response_per_byte.half_width) << "\n";
+    out << "  access_size count=" << a.count() << " mean=" << util::exact_double(a.mean())
+        << " stddev=" << util::exact_double(a.stddev()) << "\n";
+    out << "  response_per_byte pooled=" << util::exact_double(p.stats.response_per_byte_us())
+        << " mean=" << util::exact_double(p.response_per_byte.mean)
+        << " ci_half=" << util::exact_double(p.response_per_byte.half_width) << "\n";
   }
   // Sharded runs also pin the bounded-memory sketch: integer bucket counts,
   // so the quantiles are exact and identical for every shard/thread count
@@ -274,8 +273,8 @@ void append_digest(std::ostringstream& out, const ModelOutcome& model) {
   if (model.response_sketch.count() > 0) {
     const auto& sketch = model.response_sketch;
     out << "  response_sketch count=" << sketch.count()
-        << " p50=" << exact(sketch.quantile(0.50)) << " p90=" << exact(sketch.quantile(0.90))
-        << " p99=" << exact(sketch.quantile(0.99)) << "\n";
+        << " p50=" << util::exact_double(sketch.quantile(0.50)) << " p90=" << util::exact_double(sketch.quantile(0.90))
+        << " p99=" << util::exact_double(sketch.quantile(0.99)) << "\n";
   }
 }
 

@@ -80,8 +80,8 @@ const std::vector<Rule>& default_rules() {
           // core/log_sink.{h,cpp}: the blessed fixed-layout record codec —
           // its double<->uint64 memcpy pair is the defined-behaviour idiom
           // and is pinned byte-for-byte by tests/log_sink_test.cpp.
-          // sim/callback.h: type-erased callable storage (launder+memcpy of
-          // trivially-copyable closures only, static_asserted there); no
+          // sim/callback.h: type-erased callable storage (placement new and
+          // std::launder of the stored closure; it has no memcpy); no
           // floating-point object representation is ever reinterpreted.
           R"(^(core/log_sink\.(h|cpp)|sim/callback\.h)$)",
           "byte punning outside the audited core/log_sink codec (route through "

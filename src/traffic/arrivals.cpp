@@ -2,21 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace wlgen::traffic {
 
 namespace {
-
-std::string fmt(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
 
 /// Linear part of the profile (knots only), held flat outside the knot range.
 double linear_multiplier(const std::vector<ProfilePoint>& points, double t) {
@@ -121,12 +115,12 @@ std::string IntensityProfile::tag() const {
     out += " diurnal=";
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (i > 0) out += '|';
-      out += fmt(points[i].t_us) + ':' + fmt(points[i].multiplier);
+      out += util::exact_double(points[i].t_us) + ':' + util::exact_double(points[i].multiplier);
     }
   }
   if (flash_duration_us > 0.0 && flash_magnitude != 1.0) {
-    out += " flash=" + fmt(flash_at_us) + '+' + fmt(flash_duration_us) + 'x' +
-           fmt(flash_magnitude);
+    out += " flash=" + util::exact_double(flash_at_us) + '+' + util::exact_double(flash_duration_us) + 'x' +
+           util::exact_double(flash_magnitude);
   }
   return out;
 }
@@ -165,12 +159,12 @@ void ArrivalConfig::validate() const {
 std::string ArrivalConfig::tag() const {
   std::string out = "arrivals=";
   out += to_string(kind);
-  out += " rate=" + fmt(rate_per_sec);
+  out += " rate=" + util::exact_double(rate_per_sec);
   out += " sessions=" + std::to_string(sessions);
   if (kind == ArrivalKind::mmpp) {
-    out += " burst=" + fmt(burst_ratio) + '/' + fmt(mean_burst_us) + '/' + fmt(mean_idle_us);
+    out += " burst=" + util::exact_double(burst_ratio) + '/' + util::exact_double(mean_burst_us) + '/' + util::exact_double(mean_idle_us);
   }
-  if (kind == ArrivalKind::heavy) out += " alpha=" + fmt(pareto_alpha);
+  if (kind == ArrivalKind::heavy) out += " alpha=" + util::exact_double(pareto_alpha);
   out += profile.tag();
   return out;
 }
@@ -216,7 +210,7 @@ double ParetoDistribution::upper_bound() const {
 }
 
 std::string ParetoDistribution::describe() const {
-  return "pareto(alpha=" + fmt(alpha_) + ", xm=" + fmt(xm_) + ")";
+  return "pareto(alpha=" + util::exact_double(alpha_) + ", xm=" + util::exact_double(xm_) + ")";
 }
 
 dist::DistributionPtr ParetoDistribution::clone() const {

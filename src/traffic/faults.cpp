@@ -1,22 +1,12 @@
 #include "traffic/faults.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace wlgen::traffic {
-
-namespace {
-
-std::string fmt(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
-
-}  // namespace
 
 void FaultPlan::validate() const {
   std::vector<SlowdownWindow> sorted = slowdowns;
@@ -58,15 +48,15 @@ std::string FaultPlan::tag() const {
   std::string out = "faults=";
   for (std::size_t i = 0; i < slowdowns.size(); ++i) {
     out += (i == 0 ? "slow:" : "|");
-    out += fmt(slowdowns[i].begin_us) + '-' + fmt(slowdowns[i].end_us) + 'x' +
-           fmt(slowdowns[i].factor);
+    out += util::exact_double(slowdowns[i].begin_us) + '-' + util::exact_double(slowdowns[i].end_us) + 'x' +
+           util::exact_double(slowdowns[i].factor);
   }
   if (!flush_times_us.empty()) {
     if (!slowdowns.empty()) out += ' ';
     out += "flush:";
     for (std::size_t i = 0; i < flush_times_us.size(); ++i) {
       if (i > 0) out += '|';
-      out += fmt(flush_times_us[i]);
+      out += util::exact_double(flush_times_us[i]);
     }
   }
   if (!churns.empty()) {
@@ -74,8 +64,8 @@ std::string FaultPlan::tag() const {
     out += "churn:";
     for (std::size_t i = 0; i < churns.size(); ++i) {
       if (i > 0) out += '|';
-      out += fmt(churns[i].begin_us) + '-' + fmt(churns[i].end_us) + '@' +
-             fmt(churns[i].fraction);
+      out += util::exact_double(churns[i].begin_us) + '-' + util::exact_double(churns[i].end_us) + '@' +
+             util::exact_double(churns[i].fraction);
     }
   }
   return out;

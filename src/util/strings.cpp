@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace wlgen::util {
@@ -69,6 +70,12 @@ std::string to_lower(std::string_view text) {
   std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return out;
+}
+
+std::string exact_double(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
 }
 
 std::string join(const std::vector<std::string>& pieces, std::string_view sep) {

@@ -29,6 +29,11 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// Lowercases ASCII text.
 std::string to_lower(std::string_view text);
 
+/// Exact decimal text of a double ("%.17g"): it round-trips every finite
+/// value, so equal bits give equal text and distinct values distinct text —
+/// what digests, fingerprints and configuration tags rely on.
+std::string exact_double(double value);
+
 /// Joins pieces with a separator.
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 

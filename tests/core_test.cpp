@@ -137,6 +137,8 @@ TEST(Spec, SerializationRoundTrips) {
       "exp(theta=100, s=10)",
       "phase_exp((w=0.4, theta=12.7, s=0), (w=0.6, theta=18.2, s=18))",
       "gamma((w=0.7, alpha=1.4, theta=12.4, s=0), (w=0.3, alpha=1.5, theta=12.4, s=23))",
+      "pdf_table((0, 0), (1, 2), (2, 0))",
+      "cdf_table((0, 0), (1, 0.5), (2, 1))",
   };
   for (const auto& text : specs) {
     const auto d = parse_distribution(text);
@@ -144,6 +146,24 @@ TEST(Spec, SerializationRoundTrips) {
     EXPECT_NEAR(round->mean(), d->mean(), 1e-9) << text;
     EXPECT_NEAR(round->variance(), d->variance(), 1e-6) << text;
   }
+}
+
+TEST(Spec, ExactTextIdentifiesTheParsedDistribution) {
+  const auto exact = [](const std::string& text) {
+    return exact_distribution_text(*parse_distribution(text));
+  };
+  // Spelling does not matter; one bit of any parameter does, also past the
+  // 12 digits serialize_distribution keeps.
+  EXPECT_EQ(exact("exp(theta=5000)"), exact("exp( theta = 5000 , s = 0 )"));
+  EXPECT_NE(exact("exp(theta=5000)"), exact("exp(theta=5001)"));
+  EXPECT_NE(exact("exp(theta=5000)"), exact("exp(theta=5000.0000000001)"));
+  EXPECT_EQ(serialize_distribution(*parse_distribution("exp(theta=5000)")),
+            serialize_distribution(*parse_distribution("exp(theta=5000.0000000001)")));
+  EXPECT_EQ(exact("gamma((w=1, alpha=2, theta=3))"), exact("gamma((w=1,alpha=2,theta=3,s=0))"));
+  // The tabulated families, by their normalised knots.
+  EXPECT_EQ(exact("cdf_table((0, 0), (10, 1))"), exact("cdf_table((0,0),(10,1))"));
+  EXPECT_NE(exact("cdf_table((0, 0), (10, 1))"), exact("cdf_table((0, 0), (11, 1))"));
+  EXPECT_EQ(exact("pdf_table((0, 1), (4, 1))"), "pdf_table((0, 0.25), (4, 0.25))");
 }
 
 TEST(Spec, SpecifierLoadGetRender) {

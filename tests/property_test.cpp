@@ -9,12 +9,15 @@
 #include <cstring>
 #include <list>
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
+#include "core/ext.h"
 #include "core/fsc.h"
 #include "core/presets.h"
 #include "core/usim.h"
@@ -1361,6 +1364,128 @@ INSTANTIATE_TEST_SUITE_P(
                       UsimSweepCase{"small_blocks", true, 384, 1024},
                       UsimSweepCase{"big_blocks_sync", false, 64, 32768}),
     [](const auto& info) { return info.param.name; });
+
+// ---------------------------------------------------------------------------
+// USIM op selection: the live-item index against the per-op scan it
+// replaced.
+// ---------------------------------------------------------------------------
+
+/// Test-only reference: the USIM's former selector, which listed the
+/// unfinished items afresh on every op and mapped the previous item into
+/// that list.
+struct ScanSelector {
+  std::vector<bool> done;
+
+  std::size_t pick(const core::OpStreamPolicy& policy, std::size_t previous,
+                   util::RngStream& rng) const {
+    std::vector<std::size_t> active;
+    std::size_t previous_active = core::OpStreamPolicy::kNone;
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      if (done[i]) continue;
+      if (i == previous) previous_active = active.size();
+      active.push_back(i);
+    }
+    return active[policy.choose(active.size(), previous_active, rng)];
+  }
+};
+
+/// Wraps a policy and records the (count, previous) pair of every call.
+class RecordingPolicy final : public core::OpStreamPolicy {
+ public:
+  explicit RecordingPolicy(const core::OpStreamPolicy& inner) : inner_(inner) {}
+
+  std::size_t choose(std::size_t count, std::size_t previous,
+                     util::RngStream& rng) const override {
+    last = {count, previous};
+    return inner_.choose(count, previous, rng);
+  }
+  std::string name() const override { return "recording"; }
+  std::unique_ptr<core::OpStreamPolicy> clone() const override {
+    return std::make_unique<RecordingPolicy>(inner_);
+  }
+
+  mutable std::pair<std::size_t, std::size_t> last{0, 0};
+
+ private:
+  const core::OpStreamPolicy& inner_;
+};
+
+class OpSelectionEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OpSelectionEquivalence, LiveIndexMatchesScanReference) {
+  const std::uint64_t seed = GetParam();
+  const core::IndependentOpStream independent;
+  const core::MarkovOpStream markov_low(0.3);
+  const core::MarkovOpStream markov_high(0.9);
+  for (const core::OpStreamPolicy* policy :
+       {static_cast<const core::OpStreamPolicy*>(&independent),
+        static_cast<const core::OpStreamPolicy*>(&markov_low),
+        static_cast<const core::OpStreamPolicy*>(&markov_high)}) {
+    for (std::size_t windows = 1; windows <= 3; ++windows) {
+      SCOPED_TRACE(policy->name() + " windows=" + std::to_string(windows));
+      const RecordingPolicy live_policy(*policy);
+      const RecordingPolicy scan_policy(*policy);
+      util::RngStream live_rng(seed, "opsel/pick");
+      util::RngStream scan_rng(seed, "opsel/pick");
+      util::RngStream driver(seed, "opsel/driver/" + std::to_string(windows));
+
+      struct Slot {
+        core::LiveItems live;
+        ScanSelector scan;
+        std::size_t previous = core::OpStreamPolicy::kNone;
+      };
+      std::vector<Slot> slots(windows);
+      const auto start_session = [&](Slot& slot) {
+        const auto count = static_cast<std::size_t>(driver.uniform_int(1, 40));
+        slot.live.reset(count);
+        slot.scan.done.assign(count, false);
+        slot.previous = core::OpStreamPolicy::kNone;
+      };
+      const auto retire = [](Slot& slot, std::size_t item) {
+        slot.live.retire(item);
+        slot.scan.done[item] = true;
+      };
+      for (auto& slot : slots) start_session(slot);
+
+      std::size_t sessions = 0;
+      std::size_t steps = 0;
+      while (sessions < 60) {
+        // The windows interleave: any slot may issue the next op.
+        Slot& slot = slots[static_cast<std::size_t>(
+            driver.uniform_int(0, static_cast<std::int64_t>(windows) - 1))];
+        const std::size_t from_live = slot.live.pick(live_policy, slot.previous, live_rng);
+        const std::size_t from_scan = slot.scan.pick(scan_policy, slot.previous, scan_rng);
+        ASSERT_EQ(live_policy.last, scan_policy.last) << "step " << steps;
+        ASSERT_EQ(from_live, from_scan) << "step " << steps;
+        ++steps;
+        slot.previous = from_live;
+
+        const double action = driver.uniform01();
+        if (action < 0.10) {
+          // A failed creat/open retires the item before any op is issued;
+          // the selector is asked again at once.
+          retire(slot, from_live);
+        } else if (action < 0.25) {
+          retire(slot, from_live);  // close of a non-TEMP item, or unlink
+        } else if (action < 0.27) {
+          ++sessions;  // op budget blown: emergency close ends the session
+          start_session(slot);
+          continue;
+        }
+        ASSERT_EQ(slot.live.size(),
+                  static_cast<std::size_t>(
+                      std::count(slot.scan.done.begin(), slot.scan.done.end(), false)));
+        if (slot.live.empty()) {
+          ++sessions;
+          start_session(slot);
+        }
+      }
+      EXPECT_GT(steps, 500u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OpSelectionEquivalence, ::testing::Values(1991, 7, 4242, 99));
 
 // ---------------------------------------------------------------------------
 // Failure injection.

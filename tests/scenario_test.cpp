@@ -377,6 +377,32 @@ TEST(ScenarioRun, ResumeRefusesAGdsFileEditedInPlace) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ScenarioRun, ResumeTagFoldsTheParsedThinkTime) {
+  // The checkpoint tag holds the think-time override as it parses, exact to
+  // the bit: a whitespace-only edit resumes, a one-unit change is refused.
+  const auto spool = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_think_resume";
+  std::filesystem::remove_all(spool);
+  const auto text = [&](const std::string& think, const std::string& sharded_extra) {
+    return "[scenario]\nmode = sharded\nname = think-resume\n"
+           "[workload]\nusers = 4\nsessions = 1\nthink_time = " + think + "\n"
+           "[sharded]\nshards = 2\n" + sharded_extra +
+           "[log]\nspill = true\ncheckpoint = true\nspool_dir = " + spool.string() + "\n"
+           "[model]\nname = nfs\n";
+  };
+
+  const std::string first = digest_with_threads(text("exp(theta=5000)", ""), 2);
+  EXPECT_EQ(digest_with_threads(text("exp(theta = 5000)", "resume = true\n"), 2), first);
+  try {
+    digest_with_threads(text("exp(theta=5001)", "resume = true\n"), 2);
+    ADD_FAILURE() << "resume under a different think time must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("written under a different configuration"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(spool);
+}
+
 TEST(ScenarioRun, SpilledScenarioStillWritesTheOutputLog) {
   const auto spool = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_outlog";
   const auto log_path = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_outlog.tsv";

@@ -12,6 +12,7 @@
 #include <memory>
 #include <new>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -671,6 +672,116 @@ TEST(Resource, WaitQueueWrapsAndGrowsInFcfsOrder) {
   ASSERT_EQ(order.size(), static_cast<std::size_t>(next_id));
   for (int i = 0; i < next_id; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   EXPECT_EQ(disk.queue_length(), 0u);
+}
+
+// --- callback relocation -------------------------------------------------
+
+// A capture of pointers and scalars filling most of the inline buffer: the
+// memcpy-relocated path (sim/callback.h).
+struct PodCapture {
+  std::vector<std::uint64_t>* out;
+  std::uint64_t a;
+  std::uint64_t b;
+  std::uint32_t c;
+  double d;
+  void operator()() const { out->push_back(a + b + c + static_cast<std::uint64_t>(d)); }
+};
+static_assert(std::is_trivially_copyable_v<PodCapture>);
+static_assert(sizeof(PodCapture) <= EventFn::kInlineCapacity);
+
+TEST(Callback, TriviallyCopyableCaptureSurvivesRepeatedMoves) {
+  std::vector<std::uint64_t> out;
+  EventFn first = PodCapture{&out, 1, 2, 3, 4.0};
+  EventFn second = std::move(first);
+  EventFn third;
+  third = std::move(second);
+  EXPECT_FALSE(first);
+  EXPECT_FALSE(second);
+  third();
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{10}));
+
+  // schedule -> arena slot -> dispatch, many times over one warm arena, with
+  // slots recycled while other events are still pending.
+  Simulation sim;
+  out.clear();
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    sim.schedule(static_cast<double>(i % 7), PodCapture{&out, i, 1000, 7, 0.5});
+  }
+  sim.run();
+  ASSERT_EQ(out.size(), 200u);
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t t = 0; t < 7; ++t) {
+    for (std::uint64_t i = t; i < 200; i += 7) expected.push_back(i + 1007);
+  }
+  EXPECT_EQ(out, expected);
+
+  // Resource queueing: 40 requests at once on one server grow and wrap the
+  // FCFS ring, then each completion is moved into service and its event.
+  Resource disk(sim, "disk", 1);
+  out.clear();
+  for (std::uint64_t i = 0; i < 40; ++i) disk.use(1.0, PodCapture{&out, i, 0, 0, 0.0});
+  sim.run();
+  ASSERT_EQ(out.size(), 40u);
+  for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(out[i], i);
+}
+
+// Counts destructor runs of live (not moved-from) instances.
+struct CountedCapture {
+  int* destroyed;
+  int* called;
+  bool live = true;
+  CountedCapture(int* d, int* c) : destroyed(d), called(c) {}
+  CountedCapture(CountedCapture&& other) noexcept
+      : destroyed(other.destroyed), called(other.called) {
+    other.live = false;
+  }
+  CountedCapture(const CountedCapture&) = delete;
+  ~CountedCapture() {
+    if (live) ++*destroyed;
+  }
+  void operator()() const { ++*called; }
+};
+static_assert(!std::is_trivially_copyable_v<CountedCapture>);
+
+TEST(Callback, NonTrivialCaptureIsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int called = 0;
+  {
+    EventFn fn = CountedCapture(&destroyed, &called);
+    EventFn moved = std::move(fn);
+    EXPECT_EQ(destroyed, 0);
+    moved();
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(called, 1);
+
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  destroyed = called = 0;
+  for (int i = 0; i < 10; ++i) sim.schedule(static_cast<double>(i), CountedCapture(&destroyed, &called));
+  for (int i = 0; i < 10; ++i) disk.use(1.0, CountedCapture(&destroyed, &called));
+  sim.run();
+  EXPECT_EQ(called, 20);
+  EXPECT_EQ(destroyed, 20);
+
+  // A shared_ptr capture releases its reference exactly once, whether the
+  // event runs or Simulation::reset() discards it.
+  auto token = std::make_shared<int>(0);
+  for (int i = 0; i < 5; ++i) sim.schedule(1.0, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 6);
+  sim.run();
+  EXPECT_EQ(*token, 5);
+  EXPECT_EQ(token.use_count(), 1);
+
+  destroyed = called = 0;
+  for (int i = 0; i < 5; ++i) sim.schedule(1.0, [token] { ++*token; });
+  for (int i = 0; i < 5; ++i) sim.schedule(2.0, CountedCapture(&destroyed, &called));
+  EXPECT_EQ(token.use_count(), 6);
+  sim.reset();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(destroyed, 5);
+  EXPECT_EQ(called, 0);
+  EXPECT_EQ(*token, 5);
 }
 
 }  // namespace
