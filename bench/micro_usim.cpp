@@ -5,35 +5,28 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
-#include "core/analysis.h"
-#include "core/fsc.h"
 #include "core/presets.h"
 #include "core/usim.h"
-#include "fsmodel/nfs_model.h"
+#include "runner/universe.h"
 
 namespace {
 
 using namespace wlgen;
 
-void run_usim_sessions(benchmark::State& state, std::size_t draw_batch) {
+void BM_UsimSessions(benchmark::State& state) {
   const std::size_t users = static_cast<std::size_t>(state.range(0));
   std::uint64_t ops = 0;
   std::uint64_t sessions = 0;
   for (auto _ : state) {
     sim::Simulation simulation;
-    fs::SimulatedFileSystem fsys;
-    fsmodel::NfsModel nfs(simulation);
-    core::FscConfig fsc_config;
-    fsc_config.num_users = users;
-    core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-    const core::CreatedFileSystem manifest = fsc.create();
     core::UsimConfig config;
     config.num_users = users;
     config.sessions_per_user = 5;
-    config.draw_batch = draw_batch;
     config.collect_log = false;  // measure the simulator, not the log
-    core::UserSimulator usim(simulation, fsys, nfs, manifest, core::default_population(),
-                             config);
+    runner::Universe universe(simulation, runner::nfs_model_factory(),
+                              core::di86_file_profiles(), {}, core::default_population(),
+                              std::move(config), {});
+    core::UserSimulator& usim = universe.usim();
     usim.run();
     ops += usim.total_ops();
     sessions += usim.sessions_completed();
@@ -43,16 +36,7 @@ void run_usim_sessions(benchmark::State& state, std::size_t draw_batch) {
   state.counters["sessions/s"] =
       benchmark::Counter(static_cast<double>(sessions), benchmark::Counter::kIsRate);
 }
-
-void BM_UsimSessions(benchmark::State& state) { run_usim_sessions(state, 1); }
 BENCHMARK(BM_UsimSessions)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// The same workload with 16 draws prefetched per characteristic
-// (UsimConfig::draw_batch — deterministic but a different realization than
-// the unbatched sequence; see the field's doc comment).  Compare syscalls/s
-// against BM_UsimSessions to see what batch refills buy end to end.
-void BM_UsimSessionsBatched(benchmark::State& state) { run_usim_sessions(state, 16); }
-BENCHMARK(BM_UsimSessionsBatched)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -61,38 +61,7 @@ struct UserSimulator::SessionSlot {
   OpRecord in_flight;
 };
 
-/// Per-(user, characteristic) prefetch buffer over Distribution::sample_n —
-/// the batched draw pipeline (see UsimConfig::draw_batch).  With capacity 1
-/// every next() is exactly one scalar sample() at the historical point in
-/// the user's stream; larger capacities refill a whole block at once so the
-/// distribution's batch kernel amortises dispatch and table lookups.
-struct UserSimulator::DrawBuffer {
-  const dist::Distribution* dist = nullptr;
-  std::size_t capacity = 1;
-  std::vector<double> values;
-  std::size_t pos = 0;
-
-  DrawBuffer() = default;
-  DrawBuffer(const dist::Distribution* d, std::size_t cap) : dist(d), capacity(cap) {}
-
-  double next(util::RngStream& rng) {
-    if (pos == values.size()) {
-      values.resize(capacity);
-      dist->sample_n(rng, values.data(), capacity);
-      pos = 0;
-    }
-    return values[pos++];
-  }
-};
-
 struct UserSimulator::UserState {
-  /// The three per-category characteristics of one UsageProfile, buffered.
-  struct ProfileBuffers {
-    DrawBuffer files_per_session;
-    DrawBuffer file_size;
-    DrawBuffer accesses_per_byte;
-  };
-
   std::size_t index = 0;  ///< global user index (first_user + local offset)
   const UserType* type = nullptr;
   util::RngStream rng;
@@ -105,29 +74,8 @@ struct UserSimulator::UserState {
   const std::vector<double>* arrivals = nullptr;
   std::size_t next_arrival = 0;
 
-  DrawBuffer think_time;
-  DrawBuffer access_size;
-  DrawBuffer session_gap;
-  std::vector<ProfileBuffers> profiles;  ///< parallel to type->usage
-
   UserState(std::uint64_t seed, std::size_t idx)
       : index(idx), rng(seed, "usim/user/" + std::to_string(idx)) {}
-
-  void bind_buffers(const UsimConfig& config) {
-    const std::size_t batch = config.draw_batch;
-    think_time = DrawBuffer(type->think_time_us.get(), batch);
-    access_size = DrawBuffer(type->access_size_bytes.get(), batch);
-    session_gap = DrawBuffer(config.inter_session_gap_us.get(), batch);
-    profiles.clear();
-    profiles.reserve(type->usage.size());
-    for (const auto& profile : type->usage) {
-      ProfileBuffers buffers;
-      buffers.files_per_session = DrawBuffer(profile.files_per_session.get(), batch);
-      buffers.file_size = DrawBuffer(profile.file_size.get(), batch);
-      buffers.accesses_per_byte = DrawBuffer(profile.accesses_per_byte.get(), batch);
-      profiles.push_back(std::move(buffers));
-    }
-  }
 };
 
 UserSimulator::UserSimulator(sim::Simulation& sim, fs::SimulatedFileSystem& fsys,
@@ -149,9 +97,6 @@ UserSimulator::UserSimulator(sim::Simulation& sim, fs::SimulatedFileSystem& fsys
   }
   if (config_.client_machines == 0) {
     throw std::invalid_argument("UserSimulator: need >= 1 client machine");
-  }
-  if (config_.draw_batch == 0) {
-    throw std::invalid_argument("UserSimulator: draw_batch must be >= 1");
   }
   if (manifest_.user_count() < config_.first_user + config_.num_users) {
     throw std::invalid_argument(
@@ -189,7 +134,6 @@ UserSimulator::UserSimulator(sim::Simulation& sim, fs::SimulatedFileSystem& fsys
     const std::size_t global = config_.first_user + u;
     auto user = std::make_unique<UserState>(config_.seed, global);
     user->type = &population_.type_for_user(global, config_.population_users);
-    user->bind_buffers(config_);
     user->slots.resize(config_.windows_per_user);
     for (std::size_t s = 0; s < config_.windows_per_user; ++s) {
       user->slots[s].user = user.get();
@@ -203,7 +147,7 @@ UserSimulator::UserSimulator(sim::Simulation& sim, fs::SimulatedFileSystem& fsys
 UserSimulator::~UserSimulator() = default;
 
 double UserSimulator::sample_think(UserState& user) {
-  const double base = user.think_time.next(user.rng);
+  const double base = user.type->think_time_us->sample(user.rng);
   const double scaled = base * config_.think_modulator->multiplier(sim_.now());
   return scaled < 0.0 ? 0.0 : scaled;
 }
@@ -231,11 +175,9 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
   slot.previous_item = OpStreamPolicy::kNone;
   slot.ops_this_session = 0;
 
-  for (std::size_t p = 0; p < user.type->usage.size(); ++p) {
-    const auto& profile = user.type->usage[p];
-    UserState::ProfileBuffers& draws = user.profiles[p];
+  for (const auto& profile : user.type->usage) {
     if (!user.rng.bernoulli(profile.prob_accessing_category)) continue;
-    const std::uint64_t files = at_least_one(draws.files_per_session.next(user.rng));
+    const std::uint64_t files = at_least_one(profile.files_per_session->sample(user.rng));
     const auto& pool = manifest_.pool(profile.category, user.index);
     for (std::uint64_t f = 0; f < files; ++f) {
       WorkItem item;
@@ -244,10 +186,10 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
           profile.category.use == UseMode::new_file || profile.category.use == UseMode::temp;
       if (creates_file) {
         place_new_file(user, profile.category.use, item);
-        item.write_target = at_least_one(draws.file_size.next(user.rng));
+        item.write_target = at_least_one(profile.file_size->sample(user.rng));
         item.file_size = 0;
         item.bytes_target =
-            at_least_one(draws.accesses_per_byte.next(user.rng) *
+            at_least_one(profile.accesses_per_byte->sample(user.rng) *
                          static_cast<double>(item.write_target));
         item.state = WorkItem::State::need_creat;
       } else if (!pool.empty()) {
@@ -273,7 +215,7 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
         item.file_size = st.value().size;
         if (item.file_size == 0) continue;
         item.bytes_target =
-            at_least_one(draws.accesses_per_byte.next(user.rng) *
+            at_least_one(profile.accesses_per_byte->sample(user.rng) *
                          static_cast<double>(item.file_size));
         item.state = user.rng.bernoulli(config_.stat_before_open_prob)
                          ? WorkItem::State::need_stat
@@ -283,10 +225,10 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
         // one, as the paper's generator also "only creates those files which
         // may be accessed".
         place_new_file(user, UseMode::new_file, item);
-        item.write_target = at_least_one(draws.file_size.next(user.rng));
+        item.write_target = at_least_one(profile.file_size->sample(user.rng));
         item.file_size = 0;
         item.bytes_target =
-            at_least_one(draws.accesses_per_byte.next(user.rng) *
+            at_least_one(profile.accesses_per_byte->sample(user.rng) *
                          static_cast<double>(item.write_target));
         item.state = WorkItem::State::need_creat;
       }
@@ -333,7 +275,7 @@ void UserSimulator::schedule_session_start(UserState& user, SessionSlot& slot) {
     sim_.schedule_at(start, [this, &user, &slot]() { start_session(user, slot); });
     return;
   }
-  const double gap = std::max(0.0, user.session_gap.next(user.rng));
+  const double gap = std::max(0.0, config_.inter_session_gap_us->sample(user.rng));
   if (config_.churn.empty()) {
     sim_.schedule(gap, [this, &user, &slot]() { start_session(user, slot); });
     return;
@@ -484,7 +426,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
     return;
   }
 
-  const std::uint64_t chunk = at_least_one(user.access_size.next(user.rng));
+  const std::uint64_t chunk = at_least_one(user.type->access_size_bytes->sample(user.rng));
 
   // Phase 1 for NEW/TEMP items: materialise the file with extending writes.
   if (item.bytes_written < item.write_target) {

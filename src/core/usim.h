@@ -81,18 +81,6 @@ struct UsimConfig {
   /// paper's time-independent behaviour.
   std::shared_ptr<const ThinkTimeModulator> think_modulator;
 
-  /// Draws prefetched per characteristic through Distribution::sample_n
-  /// (must be >= 1).  1 — the default — consumes each user's stream
-  /// draw-for-draw in the historical order, so results are bit-identical
-  /// with pre-batching builds.  Larger batches amortise sampling dispatch
-  /// across the whole draw pipeline (think time, access size, session
-  /// planning, inter-session gaps); results stay deterministic and
-  /// shard/thread-invariant — every buffer refills from the owning user's
-  /// private stream at fixed points in that user's timeline — but realise
-  /// a different (equally valid) random sequence, so digests differ from a
-  /// draw_batch = 1 run.  Scenario key: workload.draw_batch.
-  std::size_t draw_batch = 1;
-
   /// Hard per-session op budget (guards against degenerate configurations).
   std::size_t max_ops_per_session = 200000;
 
@@ -182,7 +170,6 @@ class UserSimulator {
  private:
   struct WorkItem;
   struct SessionSlot;
-  struct DrawBuffer;
   struct UserState;
 
   void start_session(UserState& user, SessionSlot& slot);

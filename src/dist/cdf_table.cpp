@@ -90,29 +90,6 @@ double CdfTable::sample(util::RngStream& rng) const {
   return xs_[segment] + (xs_[segment + 1] - xs_[segment]) * v;
 }
 
-void CdfTable::sample_n(util::RngStream& rng, double* out, std::size_t n) const {
-  // Stage 1 consumes the stream exactly as n scalar sample() calls would;
-  // stage 2 is pure arithmetic on the buffer.
-  rng.fill_uniform01(out, n);
-  const std::size_t m = xs_.size() - 1;
-  const double md = static_cast<double>(m);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scaled_u = out[i] * md;
-    std::size_t column = static_cast<std::size_t>(scaled_u);
-    if (column >= m) column = m - 1;
-    const double frac = scaled_u - static_cast<double>(column);
-    const double threshold = alias_prob_[column];
-    // Branch-free form of sample()'s accept/alias split: both candidate
-    // positions are computed and a conditional move keeps the right one.
-    // When threshold == 1.0 the alias division produces inf/NaN, but then
-    // frac < threshold always holds and the value is discarded unselected.
-    const bool accept = frac < threshold;
-    const std::size_t segment = accept ? column : alias_idx_[column];
-    const double v = accept ? frac / threshold : (frac - threshold) / (1.0 - threshold);
-    out[i] = xs_[segment] + (xs_[segment + 1] - xs_[segment]) * v;
-  }
-}
-
 double CdfTable::sample_binary(util::RngStream& rng) const {
   // Plain inverse-transform sampling; quantile() is the single copy of the
   // binary-search inversion both paths are validated against.

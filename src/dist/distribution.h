@@ -34,14 +34,10 @@ class Distribution {
   /// Draws one variate using (and advancing) `rng`.
   virtual double sample(util::RngStream& rng) const = 0;
 
-  /// Draws n variates into out[0..n), advancing `rng` exactly as n
-  /// sequential sample() calls would — overrides must reproduce the scalar
-  /// draw sequence bit-for-bit (dist_test pins this), so callers can batch
-  /// freely without perturbing any downstream draw.  The base
-  /// implementation is the scalar loop; the hot families override it with
-  /// kernels that hoist the virtual dispatch out of the loop and resolve
-  /// whole uniform blocks at once (see DESIGN.md "Batched sampling").
-  virtual void sample_n(util::RngStream& rng, double* out, std::size_t n) const;
+  /// Draws n variates into out[0..n): the scalar loop over sample(), so
+  /// the stream advances exactly as n sequential calls would.  Its last
+  /// caller is perfbench's dist_replay.
+  void sample_n(util::RngStream& rng, double* out, std::size_t n) const;
 
   /// Density f(x); 0 outside the support.
   virtual double pdf(double x) const = 0;

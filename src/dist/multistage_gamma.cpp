@@ -78,19 +78,6 @@ double MultiStageGamma::sample(util::RngStream& rng) const {
   return st.offset + rng.gamma(st.alpha, st.theta);
 }
 
-void MultiStageGamma::sample_n(util::RngStream& rng, double* out, std::size_t n) const {
-  const std::size_t last = cum_weights_.size() - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double u = rng.uniform01();
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < last; ++j) {
-      k += static_cast<std::size_t>(u >= cum_weights_[j]);
-    }
-    const GammaStage& st = stages_[k];
-    out[i] = st.offset + rng.gamma(st.alpha, st.theta);
-  }
-}
-
 double MultiStageGamma::pdf(double x) const {
   double f = 0.0;
   for (std::size_t i = 0; i < stages_.size(); ++i) {

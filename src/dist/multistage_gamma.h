@@ -45,12 +45,6 @@ class MultiStageGamma : public Distribution {
   static MultiStageGamma paper_example_c();
 
   double sample(util::RngStream& rng) const override;
-  /// Batch kernel.  A gamma draw consumes the engine directly (interleaved
-  /// with the uniform block refills behind the stage-selection draw), so
-  /// the per-element draw order must be kept exactly; the batch win here is
-  /// hoisting the virtual dispatch and mixture bookkeeping out of the
-  /// caller's loop.  Bit-identical to n scalar sample() calls.
-  void sample_n(util::RngStream& rng, double* out, std::size_t n) const override;
   double pdf(double x) const override;
   double cdf(double x) const override;
   double mean() const override { return mean_; }

@@ -45,10 +45,6 @@ class PhaseTypeExponential : public Distribution {
   static PhaseTypeExponential paper_example_c();
 
   double sample(util::RngStream& rng) const override;
-  /// Batch kernel: one fill_uniform01 for the whole block, then the phase
-  /// scan + shifted-exponential inverse transform resolved in a tight loop
-  /// — bit-identical to n scalar sample() calls.
-  void sample_n(util::RngStream& rng, double* out, std::size_t n) const override;
   double pdf(double x) const override;
   double cdf(double x) const override;
   double mean() const override { return mean_; }

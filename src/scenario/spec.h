@@ -56,7 +56,6 @@ struct ScenarioSpec {
   core::AccessPattern pattern = core::AccessPattern::sequential;
   double markov = -1.0;  ///< <0 = the paper's independent stream
   std::size_t windows = 1;
-  std::size_t draw_batch = 1;  ///< draws prefetched per characteristic (>= 1)
   std::string think_time;   ///< distribution expression, "" = preset
   std::string access_size;  ///< distribution expression, "" = preset
   std::string gds_file;     ///< optional GDS spec file with named overrides

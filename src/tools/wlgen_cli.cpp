@@ -442,12 +442,12 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-/// The paper-expectation harness: runs the 23 registered figure/table
+/// The paper-expectation harness: runs the 25 registered figure/table
 /// experiments, grades them PASS/WARN/FAIL, and writes the artifact set.
 int cmd_experiments(const Args& args) {
   if (!args.positional.empty()) {
     // `experiments fig5_1` almost certainly meant `--only fig5_1`; running
-    // all 23 instead would silently ignore the selection.
+    // all 25 instead would silently ignore the selection.
     throw std::invalid_argument("unexpected argument '" + args.positional.front() +
                                 "' (to select experiments use --only id[,id...])");
   }

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -42,17 +41,6 @@ RngStream::RngStream(std::uint64_t root_seed, std::uint64_t stream_id)
 
 RngStream::RngStream(std::uint64_t root_seed, std::string_view label)
     : RngStream(root_seed, hash_label(label)) {}
-
-void RngStream::fill_uniform01(double* out, std::size_t n) {
-  while (n > 0) {
-    if (block_pos_ == block_.size()) refill_block();
-    const std::size_t take = std::min(n, block_.size() - block_pos_);
-    std::copy_n(block_.begin() + block_pos_, take, out);
-    block_pos_ += take;
-    out += take;
-    n -= take;
-  }
-}
 
 void RngStream::refill_block() {
   // One tight pass over the engine: 53-bit mantissa scaling, the standard

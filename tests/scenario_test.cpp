@@ -128,6 +128,8 @@ INSTANTIATE_TEST_SUITE_P(
                     "seq | random | zipf"},
         FailureCase{"[scenario]\nmode = contended\n[workload]\nsessions = none\n",
                     "non-negative integer"},
+        FailureCase{"[scenario]\nmode = sharded\n[workload]\ndraw_batch = 1\n",
+                    "was removed: draws are always scalar"},
         FailureCase{"[scenario]\nmode = contended\n[model]\nname = afs\n", "unknown model"},
         FailureCase{"[scenario]\nmode = contended\n[model]\nname = nfs\n"
                     "nfs.warp_factor = 9\n",
@@ -257,29 +259,6 @@ TEST(ScenarioRun, MultiModelDigestIsThreadCountInvariant) {
   // Model sections appear in spec order regardless of completion order.
   EXPECT_LT(one.find("model nfs"), one.find("model local"));
   EXPECT_LT(one.find("model local"), one.find("model wholefile"));
-}
-
-TEST(ScenarioSpec, DrawBatchParsesAndRejectsZero) {
-  const ScenarioSpec spec = ScenarioSpec::parse_text(
-      "[scenario]\nmode = sharded\nname = batch\n"
-      "[workload]\nusers = 2\ndraw_batch = 16\n"
-      "[model]\nname = nfs\n");
-  EXPECT_EQ(spec.draw_batch, 16u);
-  EXPECT_EQ(spec.usim_config().draw_batch, 16u);
-  EXPECT_NE(spec.summary().find("draw batch: 16"), std::string::npos);
-  EXPECT_THROW(ScenarioSpec::parse_text("[scenario]\nmode = sharded\nname = b\n"
-                                        "[workload]\nusers = 1\ndraw_batch = 0\n"
-                                        "[model]\nname = nfs\n"),
-               std::invalid_argument);
-}
-
-TEST(ScenarioRun, DrawBatchDigestIsThreadCountInvariant) {
-  const std::string text =
-      "[scenario]\nmode = sharded\nname = pin-batch\n"
-      "[workload]\nusers = 4\nsessions = 2\ndraw_batch = 8\n"
-      "[sharded]\nshards = 2\n"
-      "[model]\nname = nfs\n";
-  EXPECT_EQ(digest_with_threads(text, 1), digest_with_threads(text, 8));
 }
 
 // --- streaming spill at the scenario layer ----------------------------------

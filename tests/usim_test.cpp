@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -175,36 +174,6 @@ TEST(Usim, DeterministicForFixedSeed) {
   EXPECT_NE(run_once(42), run_once(43));
 }
 
-TEST(Usim, DrawBatchIsDeterministicAndCompletesAllSessions) {
-  // draw_batch > 1 realises a different random sequence than the unbatched
-  // run (documented in UsimConfig), but it must stay deterministic and the
-  // workload must stay structurally intact.
-  auto run_once = [](std::size_t draw_batch) {
-    Rig rig(3);
-    UsimConfig config = small_config(3, 4);
-    config.draw_batch = draw_batch;
-    UserSimulator usim(rig.simulation, rig.fsys, *rig.model, rig.manifest,
-                       default_population(), config);
-    usim.run();
-    EXPECT_EQ(usim.sessions_completed(), 12u);
-    EXPECT_EQ(rig.fsys.open_descriptor_count(), 0u);
-    return usim.take_log().serialize();
-  };
-  const std::string batched_a = run_once(16);
-  const std::string batched_b = run_once(16);
-  EXPECT_EQ(batched_a, batched_b);
-
-  // Loose statistical consistency with the unbatched run: both realise the
-  // same workload model, so aggregate op counts land in the same ballpark.
-  const std::string unbatched = run_once(1);
-  const auto ops_of = [](const std::string& log) {
-    return static_cast<double>(std::count(log.begin(), log.end(), '\n'));
-  };
-  EXPECT_NE(batched_a, unbatched);
-  EXPECT_GT(ops_of(batched_a), 0.5 * ops_of(unbatched));
-  EXPECT_LT(ops_of(batched_a), 2.0 * ops_of(unbatched));
-}
-
 TEST(Usim, PopulationMixAssignsTypes) {
   Rig rig(4);
   UsimConfig config = small_config(4, 2);
@@ -248,11 +217,6 @@ TEST(Usim, ValidatesConfiguration) {
   EXPECT_THROW(
       UserSimulator(rig.simulation, rig.fsys, *rig.model, rig.manifest, default_population(), bad),
       std::invalid_argument);
-  UsimConfig bad_batch = small_config(1, 1);
-  bad_batch.draw_batch = 0;
-  EXPECT_THROW(UserSimulator(rig.simulation, rig.fsys, *rig.model, rig.manifest,
-                             default_population(), bad_batch),
-               std::invalid_argument);
 }
 
 TEST(Usim, CollectLogOffKeepsCounters) {
