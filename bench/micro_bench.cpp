@@ -340,6 +340,8 @@ BENCHMARK(BM_FsPathResolutionDeep);
 // One FSC universe build per iteration on a fresh file system, as every
 // runner builds a user's (or a replication's) universe: directories made
 // once, then open_at + write + close per file through the directory handle.
+// Every iteration after the first shares the profiles, so it restores the
+// thread's /system snapshot and builds only the user part.
 // Arg = users; items = files created.
 void BM_FscCreate(benchmark::State& state) {
   const auto profiles = core::di86_file_profiles();
@@ -356,6 +358,26 @@ void BM_FscCreate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(files));
 }
 BENCHMARK(BM_FscCreate)->Arg(1)->Arg(16);
+
+// BM_FscCreate with fresh size distributions every iteration, so no build
+// matches a snapshot: the whole tree is built, then the /system part is
+// snapshotted.  Making the distributions is timed too.
+void BM_FscCreateCold(benchmark::State& state) {
+  core::FscConfig config;
+  config.num_users = static_cast<std::size_t>(state.range(0));
+  std::size_t files = 0;
+  for (auto _ : state) {
+    auto profiles = core::di86_file_profiles();
+    for (core::FileCategoryProfile& p : profiles) p.size_dist = p.size_dist->clone();
+    fs::SimulatedFileSystem fsys;
+    core::FileSystemCreator fsc(fsys, std::move(profiles), config);
+    const core::CreatedFileSystem manifest = fsc.create();
+    files += manifest.file_count();
+    benchmark::DoNotOptimize(manifest.files().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(files));
+}
+BENCHMARK(BM_FscCreateCold)->Arg(1);
 
 void BM_LruCacheAccess(benchmark::State& state) {
   fsmodel::LruCache cache(static_cast<std::size_t>(state.range(0)));

@@ -1,10 +1,15 @@
 #include "core/fsc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 namespace wlgen::core {
 
@@ -139,10 +144,20 @@ void FileSystemCreator::create_files(CreatedFileSystem& out, const std::vector<S
   }
 }
 
-CreatedFileSystem FileSystemCreator::create() {
-  CreatedFileSystem out;
-  out.set_user_count(config_.first_user + config_.num_users);
+std::vector<FileSystemCreator::Stemmed> FileSystemCreator::stemmed_profiles(FileOwner owner) const {
+  // Directory-category profiles are realised by the layout's real
+  // directories, whose sizes emerge from their entry counts (see
+  // fs::SimulatedFileSystem).
+  std::vector<Stemmed> out;
+  for (const auto& p : profiles_) {
+    if (p.category.file_type == FileType::regular && p.category.owner == owner) {
+      out.push_back(Stemmed{&p, category_stem(p.category)});
+    }
+  }
+  return out;
+}
 
+FileSystemCreator::SystemTree FileSystemCreator::build_system_tree(CreatedFileSystem& out) {
   // The shared system tree and every user tree draw from their own streams
   // ("fsc/system", "fsc/user/<k>"), so building users [first_user,
   // first_user + num_users) yields bit-identical trees to a full build —
@@ -151,49 +166,203 @@ CreatedFileSystem FileSystemCreator::create() {
 
   // Each directory is made once; files are then created through its handle.
   const Dir root{fs::kRootInode, "/"};
-  Dir system = make_dir(root, kSystemName);
-  Dir users = make_dir(root, kUsersName);
-
-  // Partition the regular-file profiles by owner.  Directory-category
-  // profiles are realised by the layout's real directories, whose sizes
-  // emerge from their entry counts (see fs::SimulatedFileSystem).
-  std::vector<Stemmed> user_profiles;
-  std::vector<Stemmed> notes_profiles;
-  std::vector<Stemmed> other_profiles;
-  for (const auto& p : profiles_) {
-    if (p.category.file_type != FileType::regular) continue;
-    Stemmed stemmed{&p, category_stem(p.category)};
-    switch (p.category.owner) {
-      case FileOwner::user: user_profiles.push_back(std::move(stemmed)); break;
-      case FileOwner::notes: notes_profiles.push_back(std::move(stemmed)); break;
-      case FileOwner::other: other_profiles.push_back(std::move(stemmed)); break;
-    }
-  }
+  SystemTree tree;
+  tree.system = make_dir(root, kSystemName);
+  tree.users = make_dir(root, kUsersName);
 
   // System subtrees: the NOTES and OTHER categories each get half of the
   // configured system subdirectories (at least one apiece).
   const std::size_t notes_dir_count = std::max<std::size_t>(1, config_.system_subdirs / 2);
   const std::size_t other_dir_count =
       std::max<std::size_t>(1, config_.system_subdirs - notes_dir_count);
-  std::vector<Dir> notes_dirs, other_dirs;
   for (std::size_t i = 0; i < notes_dir_count; ++i) {
-    notes_dirs.push_back(make_dir(system, numbered("notes", i)));
+    tree.notes_dirs.push_back(make_dir(tree.system, numbered("notes", i)));
   }
   for (std::size_t i = 0; i < other_dir_count; ++i) {
-    other_dirs.push_back(make_dir(system, numbered("other", i)));
+    tree.other_dirs.push_back(make_dir(tree.system, numbered("other", i)));
   }
 
   // Split the system file budget by the relative NOTES/OTHER fractions.
+  const std::vector<Stemmed> notes_profiles = stemmed_profiles(FileOwner::notes);
+  const std::vector<Stemmed> other_profiles = stemmed_profiles(FileOwner::other);
   double notes_frac = 0.0, other_frac = 0.0;
   for (const Stemmed& p : notes_profiles) notes_frac += p.profile->fraction_of_files;
   for (const Stemmed& p : other_profiles) other_frac += p.profile->fraction_of_files;
   const double system_total = std::max(notes_frac + other_frac, 1e-9);
   const std::size_t notes_count = static_cast<std::size_t>(
       std::llround(static_cast<double>(config_.system_files) * notes_frac / system_total));
-  create_files(out, notes_profiles, notes_dirs, notes_count, CreatedFile::kSystemOwner,
+  create_files(out, notes_profiles, tree.notes_dirs, notes_count, CreatedFile::kSystemOwner,
                system_rng);
-  create_files(out, other_profiles, other_dirs, config_.system_files - notes_count,
+  create_files(out, other_profiles, tree.other_dirs, config_.system_files - notes_count,
                CreatedFile::kSystemOwner, system_rng);
+  return tree;
+}
+
+/// A system-tree build kept for reuse: what it depended on, every clock
+/// reading it made, and what it left in the file system and the manifest.
+struct FileSystemCreator::Snapshot {
+  /// Everything build_system_tree's calls depend on besides the clock, given
+  /// a pristine file system.  A profile is its category, the bits of its
+  /// fraction and its size distribution's address.
+  struct Key {
+    std::uint64_t seed = 0;
+    std::size_t system_files = 0;
+    std::size_t system_subdirs = 0;
+    bool store_data = false;
+    std::uint64_t capacity_bytes = 0;
+    std::size_t max_open_files = 0;
+    std::size_t max_name_length = 0;
+    std::vector<std::tuple<std::size_t, std::uint64_t, const dist::Distribution*>> profiles;
+
+    bool operator==(const Key&) const = default;
+  };
+
+  /// The process's snapshots, oldest first.  A snapshot never changes once
+  /// kept, so threads restore from one at the same time; the mutex guards
+  /// only the list and the count.
+  struct Cache {
+    std::mutex mutex;
+    std::vector<std::shared_ptr<const Snapshot>> kept;
+    std::uint64_t taken = 0;
+  };
+  static Cache& cache() {
+    static Cache instance;
+    return instance;
+  }
+  static constexpr std::size_t kCapacity = 4;
+
+  /// True while every keyed distribution lives: no other object can then
+  /// have its address, so an equal key names the same distributions.  Once
+  /// one is freed no build can present the key again.
+  bool alive() const {
+    return std::none_of(dists.begin(), dists.end(), [](const auto& d) { return d.expired(); });
+  }
+
+  Key key;
+  std::vector<std::weak_ptr<const dist::Distribution>> dists;  ///< the keyed ones
+  std::vector<double> clock;
+  fs::SimulatedFileSystem fs;
+  CreatedFileSystem manifest;
+  SystemTree tree;
+};
+
+namespace {
+
+double read_clock(const std::function<double()>& clock) { return clock ? clock() : 0.0; }
+
+/// For its lifetime, the file system's clock answers with `replay`'s values
+/// first and the real clock's after, and appends every reading to
+/// `record`.  The real clock is put back on destruction, advanced by
+/// exactly the readings it gave.
+class ClockTap {
+ public:
+  ClockTap(fs::SimulatedFileSystem& fsys, std::span<const double> replay,
+           std::vector<double>& record)
+      : fsys_(fsys), real_(fsys.clock()) {
+    fsys_.set_clock([this, replay, &record, next = std::size_t{0}]() mutable {
+      const double t = next < replay.size() ? replay[next++] : read_clock(real_);
+      record.push_back(t);
+      return t;
+    });
+  }
+  ClockTap(const ClockTap&) = delete;
+  ClockTap& operator=(const ClockTap&) = delete;
+  ~ClockTap() { fsys_.set_clock(std::move(real_)); }
+
+ private:
+  fs::SimulatedFileSystem& fsys_;
+  std::function<double()> real_;
+};
+
+/// Bitwise equality, so -0.0 never matches 0.0 and a NaN never matches.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
+}
+
+}  // namespace
+
+std::uint64_t FileSystemCreator::system_tree_snapshots_taken() {
+  Snapshot::Cache& cache = Snapshot::cache();
+  const std::lock_guard<std::mutex> lock(cache.mutex);
+  return cache.taken;
+}
+
+FileSystemCreator::SystemTree FileSystemCreator::system_tree(CreatedFileSystem& out) {
+  // A file system that already holds something would give the build other
+  // inode ids and descriptor numbers: build it as is, and keep nothing.
+  if (!fsys_.pristine()) return build_system_tree(out);
+
+  Snapshot::Key key;
+  key.seed = config_.seed;
+  key.system_files = config_.system_files;
+  key.system_subdirs = config_.system_subdirs;
+  const fs::SimulatedFileSystem::Options& options = fsys_.options();
+  key.store_data = options.store_data;
+  key.capacity_bytes = options.capacity_bytes;
+  key.max_open_files = options.max_open_files;
+  key.max_name_length = options.max_name_length;
+  for (const FileCategoryProfile& p : profiles_) {
+    key.profiles.emplace_back(p.category.index(), std::bit_cast<std::uint64_t>(p.fraction_of_files),
+                              p.size_dist.get());
+  }
+
+  Snapshot::Cache& cache = Snapshot::cache();
+  const auto matches = [&key](const auto& kept) { return kept->alive() && kept->key == key; };
+  std::shared_ptr<const Snapshot> found;
+  {
+    const std::lock_guard<std::mutex> lock(cache.mutex);
+    std::erase_if(cache.kept, [](const auto& kept) { return !kept->alive(); });
+    const auto it = std::find_if(cache.kept.begin(), cache.kept.end(), matches);
+    if (it != cache.kept.end()) found = *it;
+  }
+  if (found) {
+    // The build reads the clock the same number of times whatever it reads,
+    // so take exactly those readings, as the build would.  The snapshot is
+    // this build only when they are the readings it was made with;
+    // otherwise build again on them.
+    std::vector<double> readings(found->clock.size());
+    for (double& t : readings) t = read_clock(fsys_.clock());
+    if (same_bits(readings, found->clock)) {
+      fsys_.copy_state_from(found->fs);
+      out = found->manifest;
+      return found->tree;
+    }
+    std::vector<double> record;
+    const ClockTap tap(fsys_, readings, record);
+    return build_system_tree(out);
+  }
+
+  auto snapshot = std::make_shared<Snapshot>();
+  SystemTree tree;
+  {
+    const ClockTap tap(fsys_, {}, snapshot->clock);
+    tree = build_system_tree(out);  // a failed build propagates, keeping nothing
+  }
+  snapshot->clock.shrink_to_fit();
+  for (const FileCategoryProfile& p : profiles_) {
+    if (p.size_dist) snapshot->dists.emplace_back(p.size_dist);
+  }
+  snapshot->fs.copy_state_from(fsys_);
+  snapshot->manifest = out;
+  snapshot->tree = tree;
+  const std::lock_guard<std::mutex> lock(cache.mutex);
+  // Threads that missed together each took one: the first is kept.
+  if (std::none_of(cache.kept.begin(), cache.kept.end(), matches)) {
+    snapshot->key = std::move(key);
+    if (cache.kept.size() == Snapshot::kCapacity) cache.kept.erase(cache.kept.begin());
+    cache.kept.push_back(std::move(snapshot));
+    ++cache.taken;
+  }
+  return tree;
+}
+
+CreatedFileSystem FileSystemCreator::create() {
+  CreatedFileSystem out;
+  SystemTree tree = system_tree(out);
+  out.set_user_count(config_.first_user + config_.num_users);
+  const std::vector<Stemmed> user_profiles = stemmed_profiles(FileOwner::user);
 
   // Per-user home + subdirectories and files, each user from a private
   // stream keyed by the *global* user index.  user_dirs holds every user's
@@ -205,7 +374,7 @@ CreatedFileSystem FileSystemCreator::create() {
   for (std::size_t user = config_.first_user; user < user_end; ++user) {
     util::RngStream user_rng(config_.seed, "fsc/user/" + std::to_string(user));
     const std::size_t first = user_dirs.size();
-    user_dirs.push_back(make_dir(users, numbered(kUserPrefix, user)));
+    user_dirs.push_back(make_dir(tree.users, numbered(kUserPrefix, user)));
     for (std::size_t i = 0; i < config_.user_subdirs; ++i) {
       user_dirs.push_back(make_dir(user_dirs[first], numbered("d", i)));
     }
@@ -226,10 +395,10 @@ CreatedFileSystem FileSystemCreator::create() {
     file.path = std::move(dir.path);
     out.add_file(std::move(file));
   };
-  add_dir(system, FileOwner::other, CreatedFile::kSystemOwner);
-  add_dir(users, FileOwner::other, CreatedFile::kSystemOwner);
-  for (Dir& dir : notes_dirs) add_dir(dir, FileOwner::other, CreatedFile::kSystemOwner);
-  for (Dir& dir : other_dirs) add_dir(dir, FileOwner::other, CreatedFile::kSystemOwner);
+  add_dir(tree.system, FileOwner::other, CreatedFile::kSystemOwner);
+  add_dir(tree.users, FileOwner::other, CreatedFile::kSystemOwner);
+  for (Dir& dir : tree.notes_dirs) add_dir(dir, FileOwner::other, CreatedFile::kSystemOwner);
+  for (Dir& dir : tree.other_dirs) add_dir(dir, FileOwner::other, CreatedFile::kSystemOwner);
   for (std::size_t k = 0; k < user_dirs.size(); ++k) {
     add_dir(user_dirs[k], FileOwner::user, config_.first_user + k / dirs_per_user);
   }

@@ -100,9 +100,23 @@ class FileSystemCreator {
   /// Builds directories and files; returns the manifest.
   /// Throws std::runtime_error if the substrate rejects an operation (which
   /// would mean the configuration is impossible, e.g. capacity exceeded).
+  ///
+  /// The shared /system tree is the same in every build with the same seed,
+  /// system layout, profiles and fs::SimulatedFileSystem options, so the
+  /// process keeps snapshots of the last few: a later build into a pristine
+  /// file system, on any thread, restores one instead of rebuilding, with
+  /// the same result, clock readings included (DESIGN.md "System-tree
+  /// snapshot").  Profiles match when their size distributions are the
+  /// same objects, as every di86_file_profiles() call's are.
   CreatedFileSystem create();
 
   const FscConfig& config() const { return config_; }
+
+  /// For tests only: how many system-tree snapshots this process has kept
+  /// so far.  A build that restores one, or builds on a clock its snapshot
+  /// was not made with, keeps none.  The last 4 whose profiles still live
+  /// are held.
+  static std::uint64_t system_tree_snapshots_taken();
 
  private:
   /// A directory the build creates files in: its handle and its path.
@@ -115,6 +129,24 @@ class FileSystemCreator {
     const FileCategoryProfile* profile = nullptr;
     std::string stem;  ///< "reg_user_rdonly" for REG/USER/RDONLY
   };
+
+  /// The shared half of the layout: /system with its NOTES and OTHER
+  /// subdirectories, and the (still empty) /users.
+  struct SystemTree {
+    Dir system;
+    Dir users;
+    std::vector<Dir> notes_dirs;
+    std::vector<Dir> other_dirs;
+  };
+  struct Snapshot;  // fsc.cpp
+
+  /// The regular-file profiles of `owner`'s categories, in profile order.
+  std::vector<Stemmed> stemmed_profiles(FileOwner owner) const;
+  /// Builds the shared half into the file system and `out`.
+  SystemTree build_system_tree(CreatedFileSystem& out);
+  /// build_system_tree, restored from or kept as a snapshot when the file
+  /// system is pristine.
+  SystemTree system_tree(CreatedFileSystem& out);
 
   std::uint64_t sample_size(const FileCategoryProfile& profile, util::RngStream& rng);
   /// mkdir_at, tolerating a directory that already exists.

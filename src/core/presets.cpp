@@ -15,18 +15,24 @@ FileCategory cat(FileType t, FileOwner o, UseMode u) { return FileCategory{t, o,
 }  // namespace
 
 std::vector<FileCategoryProfile> di86_file_profiles() {
-  // Columns: category, mean file size (bytes), percent of files in category.
-  std::vector<FileCategoryProfile> out;
-  out.push_back({cat(FileType::directory, FileOwner::user, UseMode::read_only), exp_dist(714), 0.077});
-  out.push_back({cat(FileType::directory, FileOwner::other, UseMode::read_only), exp_dist(779), 0.034});
-  out.push_back({cat(FileType::regular, FileOwner::user, UseMode::read_only), exp_dist(5794), 0.218});
-  out.push_back({cat(FileType::regular, FileOwner::user, UseMode::new_file), exp_dist(11164), 0.097});
-  out.push_back({cat(FileType::regular, FileOwner::user, UseMode::read_write), exp_dist(17431), 0.046});
-  out.push_back({cat(FileType::regular, FileOwner::user, UseMode::temp), exp_dist(12431), 0.382});
-  out.push_back({cat(FileType::regular, FileOwner::notes, UseMode::read_only), exp_dist(31347), 0.064});
-  out.push_back({cat(FileType::regular, FileOwner::notes, UseMode::read_write), exp_dist(18771), 0.032});
-  out.push_back({cat(FileType::regular, FileOwner::other, UseMode::read_only), exp_dist(15072), 0.050});
-  return out;
+  // Made once and shared: the distributions never change, and every caller
+  // then presents the same ones, so FileSystemCreator's /system snapshots
+  // (keyed on their addresses) serve every universe of the process.
+  static const std::vector<FileCategoryProfile> profiles = [] {
+    // Columns: category, mean file size (bytes), percent of files in category.
+    std::vector<FileCategoryProfile> out;
+    out.push_back({cat(FileType::directory, FileOwner::user, UseMode::read_only), exp_dist(714), 0.077});
+    out.push_back({cat(FileType::directory, FileOwner::other, UseMode::read_only), exp_dist(779), 0.034});
+    out.push_back({cat(FileType::regular, FileOwner::user, UseMode::read_only), exp_dist(5794), 0.218});
+    out.push_back({cat(FileType::regular, FileOwner::user, UseMode::new_file), exp_dist(11164), 0.097});
+    out.push_back({cat(FileType::regular, FileOwner::user, UseMode::read_write), exp_dist(17431), 0.046});
+    out.push_back({cat(FileType::regular, FileOwner::user, UseMode::temp), exp_dist(12431), 0.382});
+    out.push_back({cat(FileType::regular, FileOwner::notes, UseMode::read_only), exp_dist(31347), 0.064});
+    out.push_back({cat(FileType::regular, FileOwner::notes, UseMode::read_write), exp_dist(18771), 0.032});
+    out.push_back({cat(FileType::regular, FileOwner::other, UseMode::read_only), exp_dist(15072), 0.050});
+    return out;
+  }();
+  return profiles;
 }
 
 std::vector<UsageProfile> di86_usage_profiles() {

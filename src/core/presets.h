@@ -13,7 +13,8 @@ class DistributionSpecifier;
 /// categories with their mean file sizes and fractions of all files.  The
 /// paper specifies only means and "assume[s] that the measures are
 /// exponentially distributed" (section 5.1); these profiles therefore carry
-/// exponential size distributions with those means.
+/// exponential size distributions with those means.  Every call returns the
+/// same distribution objects, made once per process.
 std::vector<FileCategoryProfile> di86_file_profiles();
 
 /// Paper Table 5.2 — "User characterization by file category": per-category

@@ -16,6 +16,31 @@ SimulatedFileSystem::SimulatedFileSystem(Options options) : options_(options) {
 
 void SimulatedFileSystem::set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
 
+void SimulatedFileSystem::copy_state_from(const SimulatedFileSystem& other) {
+  if (this == &other) return;
+  // Copy into locals first, then move in: nothing below the copies throws.
+  std::vector<Inode> inodes;
+  inodes.reserve(other.inodes_.size());
+  for (const Inode& node : other.inodes_) {
+    Inode& copy = inodes.emplace_back();
+    static_cast<InodeFields&>(copy) = node;
+    if (node.children) copy.children = std::make_unique<Children>(*node.children);
+  }
+  auto contents = other.contents_;
+  auto open_files = other.open_files_;
+  options_ = other.options_;
+  inodes_ = std::move(inodes);
+  live_inodes_ = other.live_inodes_;
+  contents_ = std::move(contents);
+  open_files_ = std::move(open_files);
+  next_fd_ = other.next_fd_;
+  bytes_in_use_ = other.bytes_in_use_;
+}
+
+bool SimulatedFileSystem::pristine() const {
+  return inodes_.size() == kRootInode + 1 && next_fd_ == kFirstFd;
+}
+
 void SimulatedFileSystem::add_child(Inode& dir, std::string_view name, InodeId id) {
   dir.children->emplace(std::string(name), id);
   dir.size += 16 + name.size();  // UFS-style directory entry record

@@ -102,6 +102,19 @@ class SimulatedFileSystem {
   /// Supplies a simulated-clock source for inode timestamps (defaults to 0).
   void set_clock(std::function<double()> clock);
 
+  /// The clock set_clock supplied; empty when none was (timestamps read 0).
+  const std::function<double()>& clock() const { return clock_; }
+
+  /// Replaces this file system's state with a deep copy of `other`'s: its
+  /// options, inodes and directory entries, stored bytes, open descriptors,
+  /// next descriptor number and bytes in use.  This file system keeps its
+  /// own clock.  On an exception the state is left unchanged.
+  void copy_state_from(const SimulatedFileSystem& other);
+
+  /// True while nothing has happened to this file system: the root is its
+  /// only inode and no descriptor was ever opened.
+  bool pristine() const;
+
   // --- system-call surface -------------------------------------------------
 
   /// Opens a file.  kCreate creates missing regular files; opening a
@@ -201,11 +214,8 @@ class SimulatedFileSystem {
  private:
   using Children = std::map<std::string, InodeId, std::less<>>;
 
-  /// A slot of the inode table; the slot index is the inode id.  Collected
-  /// inodes leave their slot behind, dead, so a slot is kept small: a
-  /// directory's entries live behind a pointer and stored bytes (tests
-  /// only) in contents_.
-  struct Inode {
+  /// An inode's plain fields: everything but a directory's entries.
+  struct InodeFields {
     bool live = false;  ///< false for slot 0 and for collected inodes
     FileKind kind = FileKind::regular;
     std::uint32_t link_count = 0;
@@ -218,6 +228,12 @@ class SimulatedFileSystem {
     double created_at = 0.0;
     double modified_at = 0.0;
     double accessed_at = 0.0;
+  };
+  /// A slot of the inode table; the slot index is the inode id.  Collected
+  /// inodes leave their slot behind, dead, so a slot is kept small: a
+  /// directory's entries live behind a pointer and stored bytes (tests
+  /// only) in contents_.
+  struct Inode : InodeFields {
     std::unique_ptr<Children> children;  ///< directories only
   };
 
@@ -262,7 +278,8 @@ class SimulatedFileSystem {
   std::size_t live_inodes_ = 0;
   std::map<InodeId, std::vector<std::uint8_t>> contents_;  ///< only when store_data
   util::FlatIdMap<OpenFile> open_files_;  ///< keyed by descriptor
-  Fd next_fd_ = 3;          // mimic stdin/stdout/stderr being taken
+  static constexpr Fd kFirstFd = 3;  // mimic stdin/stdout/stderr being taken
+  Fd next_fd_ = kFirstFd;
   std::uint64_t bytes_in_use_ = 0;
 };
 

@@ -20,10 +20,10 @@ namespace wlgen::runner {
 
 namespace {
 
+/// "shard<index>", the index zero-padded to at least six digits.
 std::string shard_stem(std::size_t shard) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "shard%06zu", shard);
-  return buffer;
+  const std::string digits = std::to_string(shard);
+  return "shard" + std::string(digits.size() < 6 ? 6 - digits.size() : 0, '0') + digits;
 }
 
 }  // namespace

@@ -379,6 +379,78 @@ TEST(FileSystem, ClockStampsTimestamps) {
   fsys.close(fd.value());
 }
 
+TEST(FileSystemCopy, CopyIsDeepAndKeepsItsOwnClock) {
+  SimulatedFileSystem::Options options;
+  options.store_data = true;
+  SimulatedFileSystem original(options);
+  int original_reads = 0;
+  original.set_clock([&original_reads] { return 10.0 + original_reads++; });
+  ASSERT_EQ(original.mkdir("/d"), FsStatus::ok);
+  const Fd a = original.creat("/d/a").value();
+  original.write_bytes(a, {1, 2, 3});
+  original.close(a);
+  const Fd b = original.creat("/d/b").value();  // left open: copied too
+  original.write(b, 5);
+  const FileStat dir_before = original.stat("/d").value();
+  const int reads_before = original_reads;
+
+  SimulatedFileSystem copy;
+  copy.set_clock([] { return 99.0; });
+  copy.copy_state_from(original);
+  EXPECT_EQ(copy.options().store_data, true);
+  EXPECT_EQ(copy.stat("/d").value().modified_at, dir_before.modified_at);
+  EXPECT_EQ(copy.bytes_in_use(), 8u);
+  EXPECT_EQ(copy.open_descriptor_count(), 1u);
+  EXPECT_EQ(copy.tell(b).value(), 5u);
+  const Fd read_a = copy.open("/d/a", kRead).value();
+  EXPECT_EQ(copy.read_bytes(read_a, 3).value(), (std::vector<std::uint8_t>{1, 2, 3}));
+  copy.close(read_a);
+
+  // Mutate inside the copied directory: creat, unlink, rename, and the
+  // copied descriptor.
+  const Fd c = copy.creat("/d/c").value();
+  EXPECT_EQ(copy.fstat(c).value().created_at, 99.0);
+  copy.close(c);
+  EXPECT_EQ(copy.unlink("/d/a"), FsStatus::ok);
+  EXPECT_EQ(copy.rename("/d/b", "/d/e"), FsStatus::ok);
+  EXPECT_EQ(copy.write(b, 7).value(), 7u);
+  EXPECT_EQ(copy.close(b), FsStatus::ok);
+  EXPECT_EQ(copy.readdir("/d").value(), (std::vector<std::string>{"c", "e"}));
+  EXPECT_EQ(copy.stat("/d").value().modified_at, 99.0);
+
+  // The original saw none of it, and its clock was never read.
+  EXPECT_EQ(original_reads, reads_before);
+  EXPECT_EQ(original.readdir("/d").value(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(original.stat("/d").value().size, dir_before.size);
+  EXPECT_EQ(original.stat("/d").value().modified_at, dir_before.modified_at);
+  EXPECT_EQ(original.bytes_in_use(), 8u);
+  EXPECT_EQ(original.open_descriptor_count(), 1u);
+  EXPECT_EQ(original.tell(b).value(), 5u);
+  EXPECT_EQ(original.stat("/d/b").value().size, 5u);
+  const Fd again = original.open("/d/a", kRead).value();
+  EXPECT_EQ(original.read_bytes(again, 3).value(), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(original.fstat(again).value().accessed_at, 10.0 + reads_before);
+  original.close(again);
+  EXPECT_EQ(original.close(b), FsStatus::ok);
+}
+
+TEST(FileSystemCopy, PristineUntilAnInodeOrDescriptorIsMade) {
+  SimulatedFileSystem fsys;
+  EXPECT_TRUE(fsys.pristine());
+  EXPECT_EQ(fsys.open("/missing", kRead).status(), FsStatus::not_found);
+  EXPECT_EQ(fsys.mkdir("/a/b"), FsStatus::not_found);
+  EXPECT_TRUE(fsys.pristine());
+  fsys.close(fsys.open("/", kRead).value());
+  EXPECT_FALSE(fsys.pristine());
+
+  SimulatedFileSystem made;
+  made.mkdir("/d");
+  made.rmdir("/d");
+  EXPECT_FALSE(made.pristine());
+  made.copy_state_from(SimulatedFileSystem{});
+  EXPECT_TRUE(made.pristine());
+}
+
 TEST(FileSystem, CountsFilesAndDirectories) {
   SimulatedFileSystem fsys;
   fsys.mkdir("/d");

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -925,25 +926,12 @@ std::string describe(const FscCase& c) {
          " system dirs " + std::to_string(c.system_subdirs);
 }
 
-void expect_fsc_matches_reference(const FscCase& c) {
-  SCOPED_TRACE(describe(c));
-  const auto profiles = core::di86_file_profiles();
-  core::FscConfig config;
-  config.seed = c.seed;
-  config.first_user = c.first_user;
-  config.num_users = c.num_users;
-  config.files_per_user = c.files_per_user;
-  config.system_files = c.system_files;
-  config.system_subdirs = c.system_subdirs;
-  // A clock that moves with every reading makes the timestamps order-sensitive.
-  double ticks_a = 0.0, ticks_b = 0.0;
-  fs::SimulatedFileSystem built, reference;
-  built.set_clock([&ticks_a] { return ticks_a += 0.5; });
-  reference.set_clock([&ticks_b] { return ticks_b += 0.5; });
-  core::FileSystemCreator fsc(built, profiles, config);
-  const core::CreatedFileSystem manifest = fsc.create();
-  const core::CreatedFileSystem expected = reference_fsc_create(reference, profiles, config);
-
+/// Checks a build against the reference build of the same configuration:
+/// the manifest and every pool, the whole tree, bytes in use, the options,
+/// and — by creating "/probe" in both — the next descriptor and inode id.
+void expect_same_build(const core::CreatedFileSystem& manifest,
+                       const core::CreatedFileSystem& expected, fs::SimulatedFileSystem& built,
+                       fs::SimulatedFileSystem& reference) {
   ASSERT_EQ(manifest.file_count(), expected.file_count());
   EXPECT_EQ(manifest.user_count(), expected.user_count());
   for (std::size_t i = 0; i < manifest.file_count(); ++i) {
@@ -967,7 +955,7 @@ void expect_fsc_matches_reference(const FscCase& c) {
         const core::FileCategory category{static_cast<core::FileType>(type),
                                           static_cast<core::FileOwner>(owner),
                                           static_cast<core::UseMode>(use)};
-        for (std::size_t user = 0; user < c.first_user + c.num_users + 1; ++user) {
+        for (std::size_t user = 0; user < expected.user_count() + 1; ++user) {
           const std::size_t key_owner = category.owner == core::FileOwner::user
                                             ? user
                                             : core::CreatedFile::kSystemOwner;
@@ -984,7 +972,10 @@ void expect_fsc_matches_reference(const FscCase& c) {
   EXPECT_EQ(built.bytes_in_use(), reference.bytes_in_use());
   EXPECT_EQ(built.inode_count(), reference.inode_count());
   EXPECT_EQ(built.open_descriptor_count(), 0u);
-  EXPECT_EQ(ticks_a, ticks_b);
+  EXPECT_EQ(built.options().store_data, reference.options().store_data);
+  EXPECT_EQ(built.options().capacity_bytes, reference.options().capacity_bytes);
+  EXPECT_EQ(built.options().max_open_files, reference.options().max_open_files);
+  EXPECT_EQ(built.options().max_name_length, reference.options().max_name_length);
   // The next inode id and descriptor number match too.
   const auto fd_a = built.creat("/probe");
   const auto fd_b = reference.creat("/probe");
@@ -992,6 +983,28 @@ void expect_fsc_matches_reference(const FscCase& c) {
   ASSERT_TRUE(fd_b.ok());
   EXPECT_EQ(fd_a.value(), fd_b.value());
   EXPECT_EQ(built.fstat(fd_a.value()).value().inode, reference.fstat(fd_b.value()).value().inode);
+}
+
+void expect_fsc_matches_reference(const FscCase& c) {
+  SCOPED_TRACE(describe(c));
+  const auto profiles = core::di86_file_profiles();
+  core::FscConfig config;
+  config.seed = c.seed;
+  config.first_user = c.first_user;
+  config.num_users = c.num_users;
+  config.files_per_user = c.files_per_user;
+  config.system_files = c.system_files;
+  config.system_subdirs = c.system_subdirs;
+  // A clock that moves with every reading makes the timestamps order-sensitive.
+  double ticks_a = 0.0, ticks_b = 0.0;
+  fs::SimulatedFileSystem built, reference;
+  built.set_clock([&ticks_a] { return ticks_a += 0.5; });
+  reference.set_clock([&ticks_b] { return ticks_b += 0.5; });
+  core::FileSystemCreator fsc(built, profiles, config);
+  const core::CreatedFileSystem manifest = fsc.create();
+  const core::CreatedFileSystem expected = reference_fsc_create(reference, profiles, config);
+  EXPECT_EQ(ticks_a, ticks_b);
+  expect_same_build(manifest, expected, built, reference);
 }
 
 class FscEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -1039,6 +1052,222 @@ TEST(FscEquivalence, CapacityFailureMatchesReference) {
     EXPECT_EQ(got, want) << "capacity " << capacity;
     EXPECT_EQ(built.bytes_in_use(), reference.bytes_in_use()) << "capacity " << capacity;
     EXPECT_EQ(built.inode_count(), reference.inode_count()) << "capacity " << capacity;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FSC system-tree snapshots: builds that share one profiles vector restore
+// the snapshot of the /system tree the first one kept, and each must still
+// equal the reference build exactly.
+// ---------------------------------------------------------------------------
+
+/// How a case's file-system clocks move: not at all, by 0.5 per reading from
+/// 0 in every build, or by 0.5 per reading carried on from build to build.
+enum class SnapshotClock { stationary, restarted, running };
+
+struct SnapshotCase {
+  std::string name;
+  fs::SimulatedFileSystem::Options options;
+  SnapshotClock clock = SnapshotClock::restarted;
+  /// Run on both file systems before the build (a non-pristine start).
+  std::function<void(fs::SimulatedFileSystem&)> prepare;
+  /// Snapshots the case's builds keep.
+  std::uint64_t snapshots_taken = 1;
+};
+
+/// Builds `config` into a fresh file system and reference-builds it beside
+/// it; both must fail with the same message or match exactly.  `ticks` is
+/// the running clock's value, carried from build to build.
+void expect_snapshot_build(const SnapshotCase& c,
+                           const std::vector<core::FileCategoryProfile>& profiles,
+                           const core::FscConfig& config, double& ticks) {
+  SCOPED_TRACE("first_user " + std::to_string(config.first_user));
+  const double start = c.clock == SnapshotClock::running     ? ticks
+                       : c.clock == SnapshotClock::restarted ? 0.0
+                                                              : 7.25;
+  const double step = c.clock == SnapshotClock::stationary ? 0.0 : 0.5;
+  double ticks_a = start, ticks_b = start;
+  fs::SimulatedFileSystem built(c.options), reference(c.options);
+  built.set_clock([&ticks_a, step] { return ticks_a += step; });
+  reference.set_clock([&ticks_b, step] { return ticks_b += step; });
+  if (c.prepare) {
+    c.prepare(built);
+    c.prepare(reference);
+  }
+  core::CreatedFileSystem manifest, expected;
+  std::string got, want;
+  try {
+    manifest = core::FileSystemCreator(built, profiles, config).create();
+  } catch (const std::runtime_error& e) {
+    got = e.what();
+  }
+  try {
+    expected = reference_fsc_create(reference, profiles, config);
+  } catch (const std::runtime_error& e) {
+    want = e.what();
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(ticks_a, ticks_b);
+  ticks = ticks_a;
+  if (!want.empty()) {
+    EXPECT_EQ(built.bytes_in_use(), reference.bytes_in_use());
+    EXPECT_EQ(built.inode_count(), reference.inode_count());
+    return;
+  }
+  expect_same_build(manifest, expected, built, reference);
+  if (!c.options.store_data) return;
+  for (const core::CreatedFile& file : expected.files()) {
+    if (file.category.file_type != core::FileType::regular) continue;
+    const auto fd_a = built.open(file.path, fs::kRead);
+    const auto fd_b = reference.open(file.path, fs::kRead);
+    ASSERT_TRUE(fd_a.ok()) << file.path;
+    ASSERT_TRUE(fd_b.ok()) << file.path;
+    const auto bytes_a = built.read_bytes(fd_a.value(), file.size);
+    const auto bytes_b = reference.read_bytes(fd_b.value(), file.size);
+    ASSERT_TRUE(bytes_a.ok()) << file.path;
+    ASSERT_TRUE(bytes_b.ok()) << file.path;
+    EXPECT_EQ(bytes_a.value(), bytes_b.value()) << file.path;
+    built.close(fd_a.value());
+    reference.close(fd_b.value());
+  }
+}
+
+/// The paper's profiles with size distributions of their own, so no
+/// snapshot taken from another profile set matches them.
+std::vector<core::FileCategoryProfile> fresh_profiles() {
+  auto profiles = core::di86_file_profiles();
+  for (core::FileCategoryProfile& p : profiles) p.size_dist = p.size_dist->clone();
+  return profiles;
+}
+
+/// Runs `c` on profiles of its own, so no snapshot matches at first: a
+/// pristine build on default options, builds of other user ranges with the
+/// case's options, clock and start, then the pristine build again.
+void run_snapshot_case(const SnapshotCase& c) {
+  SCOPED_TRACE(c.name);
+  const auto profiles = fresh_profiles();
+  const auto taken = [] { return core::FileSystemCreator::system_tree_snapshots_taken(); };
+  SnapshotCase plain = c;
+  plain.options = {};
+  plain.prepare = nullptr;
+  core::FscConfig config;
+  double ticks = 0.0;
+  const std::uint64_t before = taken();
+  expect_snapshot_build(plain, profiles, config, ticks);
+  EXPECT_EQ(taken(), before + 1);
+  for (const auto& [first_user, users] : {std::pair<std::size_t, std::size_t>{5, 3}, {4093, 1},
+                                          {0, 2}}) {
+    config.first_user = first_user;
+    config.num_users = users;
+    expect_snapshot_build(c, profiles, config, ticks);
+  }
+  EXPECT_EQ(taken(), before + c.snapshots_taken);
+  config = {};
+  expect_snapshot_build(plain, profiles, config, ticks);
+  EXPECT_EQ(taken(), before + c.snapshots_taken);
+}
+
+// A stationary or restarted clock reads the snapshot's values again, so
+// builds restore it; a running one never does, so they build on the
+// readings they took.
+TEST(FscSnapshotEquivalence, StationaryClockRestores) {
+  run_snapshot_case({"stationary clock", {}, SnapshotClock::stationary, nullptr, 1});
+}
+
+TEST(FscSnapshotEquivalence, RestartedClockRestores) {
+  run_snapshot_case({"restarted clock", {}, SnapshotClock::restarted, nullptr, 1});
+}
+
+TEST(FscSnapshotEquivalence, RunningClockBuildsOnItsReadings) {
+  run_snapshot_case({"running clock", {}, SnapshotClock::running, nullptr, 1});
+}
+
+// The options are part of the key: a snapshot taken under one set is never
+// restored into a file system with another.
+TEST(FscSnapshotEquivalence, StoredBytesAreRestored) {
+  fs::SimulatedFileSystem::Options stored;
+  stored.store_data = true;
+  run_snapshot_case({"store_data", stored, SnapshotClock::restarted, nullptr, 2});
+}
+
+TEST(FscSnapshotEquivalence, SystemBuildFailureKeepsNoSnapshot) {
+  // Capacity the /system tree alone overflows: every build fails there.
+  fs::SimulatedFileSystem::Options cramped;
+  cramped.capacity_bytes = 40000;
+  run_snapshot_case({"system build out of space", cramped, SnapshotClock::restarted, nullptr, 1});
+  fs::SimulatedFileSystem::Options no_descriptors;
+  no_descriptors.max_open_files = 0;
+  run_snapshot_case({"no descriptors", no_descriptors, SnapshotClock::restarted, nullptr, 1});
+}
+
+TEST(FscSnapshotEquivalence, UserBuildFailureAfterARestore) {
+  // Capacity that holds the /system tree but not the user files: the
+  // snapshot is kept and every build fails in the user part.
+  fs::SimulatedFileSystem system_only;
+  core::FscConfig no_user_files;
+  no_user_files.files_per_user = 0;
+  core::FileSystemCreator(system_only, core::di86_file_profiles(), no_user_files).create();
+  fs::SimulatedFileSystem::Options tight;
+  tight.capacity_bytes = system_only.bytes_in_use() + 1000;
+  run_snapshot_case({"user build out of space", tight, SnapshotClock::restarted, nullptr, 2});
+}
+
+TEST(FscSnapshotEquivalence, LowDescriptorLimitIsKept) {
+  fs::SimulatedFileSystem::Options one_descriptor;
+  one_descriptor.max_open_files = 1;
+  run_snapshot_case({"one descriptor", one_descriptor, SnapshotClock::restarted, nullptr, 2});
+}
+
+// A stationary clock would restore the snapshot, so only the pristine test
+// keeps these builds from wiping what the file system already holds.
+TEST(FscSnapshotEquivalence, PreMadeDirectoryIsBuiltAround) {
+  run_snapshot_case({"pre-made directory", {}, SnapshotClock::stationary,
+                     [](fs::SimulatedFileSystem& fsys) {
+                       ASSERT_EQ(fsys.mkdir("/premade"), fs::FsStatus::ok);
+                     },
+                     1});
+}
+
+TEST(FscSnapshotEquivalence, OnceOpenedDescriptorIsBuiltAfter) {
+  run_snapshot_case({"descriptor once opened", {}, SnapshotClock::stationary,
+                     [](fs::SimulatedFileSystem& fsys) {
+                       const auto fd = fsys.open("/", fs::kRead);
+                       ASSERT_TRUE(fd.ok());
+                       fsys.close(fd.value());
+                     },
+                     1});
+}
+
+TEST(FscSnapshotEquivalence, SeparateDi86ProfileCallsShareOneSnapshot) {
+  // runner::Universe, the experiments and the CLI each pass a vector of
+  // their own from di86_file_profiles(): later builds must still restore.
+  const SnapshotCase c{"separate di86 calls", {}, SnapshotClock::restarted, nullptr, 1};
+  const auto taken = [] { return core::FileSystemCreator::system_tree_snapshots_taken(); };
+  double ticks = 0.0;
+  core::FscConfig config;
+  config.seed = 0x5eed18;
+  const std::uint64_t before = taken();
+  for (int build = 0; build < 3; ++build) {
+    expect_snapshot_build(c, core::di86_file_profiles(), config, ticks);
+    EXPECT_EQ(taken(), before + 1) << "build " << build;
+  }
+}
+
+TEST(FscSnapshotEquivalence, KeepsTheLastFourSnapshots) {
+  const auto profiles = fresh_profiles();
+  const SnapshotCase c{"seeds", {}, SnapshotClock::restarted, nullptr, 1};
+  const auto taken = [] { return core::FileSystemCreator::system_tree_snapshots_taken(); };
+  double ticks = 0.0;
+  core::FscConfig config;
+  const std::uint64_t before = taken();
+  // Seeds 1-5 keep a snapshot each, so seed 1's is evicted; 5 and 2 are
+  // still kept, 1 is taken again.
+  const std::pair<std::uint64_t, std::uint64_t> builds[] = {{1, 1}, {2, 2}, {3, 3}, {4, 4},
+                                                            {5, 5}, {5, 5}, {2, 5}, {1, 6}};
+  for (const auto& [seed, taken_after] : builds) {
+    config.seed = seed;
+    expect_snapshot_build(c, profiles, config, ticks);
+    EXPECT_EQ(taken(), before + taken_after) << "seed " << seed;
   }
 }
 

@@ -836,6 +836,26 @@ TEST(UniversePins, RunWorkloadWithArrivalsAndFaults) {
             "model_stats=07082a111ca0bcd0\n");
 }
 
+TEST(ShardedRunner, WarmSystemTreeSnapshotsChangeNothing) {
+  // Each worker restores its /system snapshot for every universe after its
+  // first, and the second run starts with the first run's snapshots still
+  // held, this thread's among them.
+  const auto run_once = [] {
+    ShardedRunner runner(base_config(12, 6, 4));
+    const RunnerResult result = runner.run();
+    return std::pair(stats_pin(result.stats), result.log.serialize());
+  };
+  const auto first = run_once();
+  const auto second = run_once();
+  EXPECT_FALSE(first.second.empty());
+  EXPECT_EQ(second.first, first.first);
+  EXPECT_EQ(second.second, first.second);
+  ShardedRunner serial(base_config(12, 1, 1));
+  const RunnerResult one = serial.run();
+  EXPECT_EQ(stats_pin(one.stats), first.first);
+  EXPECT_EQ(one.log.serialize(), first.second);
+}
+
 // --- USIM op-selection pins ------------------------------------------------
 //
 // The UniversePins above run the paper's independent op stream with one
