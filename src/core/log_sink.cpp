@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "util/strings.h"
+#include "util/svg.h"
 
 namespace wlgen::core {
 
@@ -291,11 +293,99 @@ bool MergeLogReader::next(OpRecord& out) {
   return true;
 }
 
-std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs) {
+// ---------------------------------------------------------------------------
+// PrefetchLogReader
+// ---------------------------------------------------------------------------
+
+// Block hand-over protocol: the helper fills block `published_ % kRingBlocks`
+// outside the lock and publishes it by bumping published_ under the lock;
+// the consumer holds block `released_ % kRingBlocks` while it reads it and
+// gives it back by bumping released_.  The helper may only start a block
+// while published_ - released_ < kRingBlocks, so it never writes the block
+// the consumer holds.  Every read and write of a block's records is ordered
+// by the mutex acquire/release around those counter updates.
+
+PrefetchLogReader::PrefetchLogReader(std::unique_ptr<LogReader> inner)
+    : inner_(std::move(inner)), ring_(kRingBlocks * kBlockRecords) {
+  helper_ = std::thread([this] { produce(); });
+}
+
+PrefetchLogReader::~PrefetchLogReader() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  space_.notify_one();
+  helper_.join();
+}
+
+void PrefetchLogReader::produce() {
+  for (;;) {
+    std::size_t slot = 0;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      space_.wait(lock, [this] { return stopping_ || published_ - released_ < kRingBlocks; });
+      if (stopping_) return;
+      slot = published_ % kRingBlocks;
+    }
+    OpRecord* block = ring_.data() + slot * kBlockRecords;
+    std::size_t count = 0;
+    std::exception_ptr error;
+    try {
+      while (count < kBlockRecords && inner_->next(block[count])) ++count;
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // A short block means the inner stream ended or threw.
+    const bool at_end = count < kBlockRecords;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      fill_[slot] = count;
+      if (count > 0) ++published_;
+      if (at_end) {
+        finished_ = true;
+        error_ = error;
+      }
+    }
+    ready_.notify_one();
+    if (at_end) return;
+  }
+}
+
+bool PrefetchLogReader::acquire_block() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (holding_) {
+    ++released_;
+    holding_ = false;
+    space_.notify_one();
+  }
+  ready_.wait(lock, [this] { return published_ > released_ || finished_; });
+  if (published_ > released_) {
+    const std::size_t slot = released_ % kRingBlocks;
+    cursor_ = ring_.data() + slot * kBlockRecords;
+    end_ = cursor_ + fill_[slot];
+    holding_ = true;
+    return true;
+  }
+  if (error_) std::rethrow_exception(error_);
+  return false;
+}
+
+bool PrefetchLogReader::next(OpRecord& out) {
+  if (cursor_ == end_ && !acquire_block()) return false;
+  out = *cursor_++;
+  return true;
+}
+
+std::unique_ptr<LogReader> merge_spilled_runs(const std::vector<SpillRun>& runs) {
   std::vector<std::unique_ptr<LogReader>> readers;
   readers.reserve(runs.size());
   for (const auto& run : runs) readers.push_back(std::make_unique<RunFileReader>(run));
   return std::make_unique<MergeLogReader>(std::move(readers));
+}
+
+std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs) {
+  return std::make_unique<PrefetchLogReader>(merge_spilled_runs(runs));
 }
 
 // ---------------------------------------------------------------------------
@@ -312,6 +402,14 @@ std::uint64_t write_log_text(LogReader& reader, std::ostream& out) {
     ++written;
   }
   out.precision(saved_precision);
+  return written;
+}
+
+std::uint64_t write_log_file(LogReader& reader, const std::string& path) {
+  std::ofstream out = util::open_text_file(path);
+  const std::uint64_t written = write_log_text(reader, out);
+  out.flush();
+  if (!out) throw std::runtime_error("write_text_file: write failed for " + path);
   return written;
 }
 

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/usage_log.h"
@@ -190,7 +194,62 @@ class MergeLogReader final : public LogReader {
   std::size_t k_ = 0;
 };
 
-/// Opens the merged (issue_time, user) view over a set of spilled runs.
+/// Read-ahead cursor: one helper thread drains `inner` into a fixed ring of
+/// record blocks while the caller consumes the previous ones, so an
+/// expensive inner stream (a k-way merge over run files) overlaps with
+/// whatever the caller does per record.  The stream is the inner stream,
+/// record for record.  An exception the inner reader throws on the helper
+/// thread is rethrown by next() after every record that preceded it, i.e.
+/// at the same stream position an in-thread drain would see it.  The
+/// destructor stops and joins the helper at any point in the stream.
+class PrefetchLogReader final : public LogReader {
+ public:
+  static constexpr std::size_t kBlockRecords = 1024;
+  static constexpr std::size_t kRingBlocks = 4;
+
+  explicit PrefetchLogReader(std::unique_ptr<LogReader> inner);
+  ~PrefetchLogReader() override;
+  PrefetchLogReader(const PrefetchLogReader&) = delete;
+  PrefetchLogReader& operator=(const PrefetchLogReader&) = delete;
+
+  bool next(OpRecord& out) override;
+
+ private:
+  void produce();
+  bool acquire_block();
+
+  std::unique_ptr<LogReader> inner_;
+  std::vector<OpRecord> ring_;  ///< kRingBlocks blocks of kBlockRecords
+
+  std::mutex mutex_;
+  std::size_t fill_[kRingBlocks] = {};  ///< records in each published block
+  std::condition_variable ready_;  ///< consumer waits: a block is published
+  std::condition_variable space_;  ///< helper waits: a block is released
+  std::size_t published_ = 0;      ///< blocks the helper has filled
+  std::size_t released_ = 0;       ///< blocks the consumer has finished
+  bool finished_ = false;          ///< helper saw end of stream or an error
+  bool stopping_ = false;          ///< destructor asked the helper to quit
+  std::exception_ptr error_;
+
+  // Consumer-side cursor into the held block (touched only by next()).
+  const OpRecord* cursor_ = nullptr;
+  const OpRecord* end_ = nullptr;
+  bool holding_ = false;
+
+  std::thread helper_;
+};
+
+/// The merged (issue_time, user) view over a set of spilled runs, drained
+/// on the calling thread.  Opening the run files and priming the merge
+/// happen here, so open, header and first-record errors throw from this
+/// call.
+std::unique_ptr<LogReader> merge_spilled_runs(const std::vector<SpillRun>& runs);
+
+/// merge_spilled_runs wrapped in a PrefetchLogReader: the same stream and
+/// the same errors, with the merge running on a helper thread.  This is the
+/// whole-log entry point (analysis, text export, merge verification); code
+/// already running inside pool workers uses merge_spilled_runs so it never
+/// adds a thread per worker.
 std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs);
 
 // ---------------------------------------------------------------------------
@@ -201,6 +260,12 @@ std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs);
 /// (header line + one tab-separated record per line, %.17g doubles).
 /// Returns the number of records written.
 std::uint64_t write_log_text(LogReader& reader, std::ostream& out);
+
+/// write_log_text into the file at `path`, creating parent directories when
+/// needed.  The text goes straight to the file, so a spilled run's merged
+/// log is never held in RAM.  Throws std::runtime_error when the file
+/// cannot be opened or written.  Returns the number of records written.
+std::uint64_t write_log_file(LogReader& reader, const std::string& path);
 
 /// Parses UsageLog text (serialize() output) record by record into `sink`.
 /// Throws std::invalid_argument on malformed input.

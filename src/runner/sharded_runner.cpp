@@ -251,9 +251,11 @@ RunnerResult ShardedRunner::run() {
         // live run — which is what keeps the floating-point folds (and
         // therefore the digest) bit-identical.  Shard totals that records
         // cannot reproduce (events, RNG draws, ...) come from the
-        // checkpoint's grouping-invariant integer scalars instead.
+        // checkpoint's grouping-invariant integer scalars instead.  The
+        // merge runs in-thread (no prefetch helper): this is already a pool
+        // worker, so a resume never keeps more than --threads threads busy.
         const ShardCheckpoint& ckpt = *resumed[s];
-        auto reader = core::open_spilled_log(ckpt.runs);
+        auto reader = core::merge_spilled_runs(ckpt.runs);
         core::OpRecord r;
         while (reader->next(r)) {
           if (cancelled.load(std::memory_order_relaxed)) return;

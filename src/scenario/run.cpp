@@ -400,14 +400,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
     // Stream through a reader so a spilled run writes the identical text
     // without ever materializing the merged log in RAM.
     const ModelOutcome& first = outcome.models.front();
-    if (!first.spilled_runs.empty()) {
-      std::ostringstream text;
-      auto reader = core::open_spilled_log(first.spilled_runs);
-      core::write_log_text(*reader, text);
-      util::write_text_file(spec.log_file, text.str());
-    } else {
-      util::write_text_file(spec.log_file, first.log.serialize());
-    }
+    const auto reader = first.spilled_runs.empty()
+                            ? std::make_unique<core::MemoryLogReader>(first.log)
+                            : core::open_spilled_log(first.spilled_runs);
+    core::write_log_file(*reader, spec.log_file);
   }
   if (!spec.stats_file.empty()) {
     util::write_text_file(spec.stats_file, outcome.stats_digest);

@@ -242,10 +242,8 @@ int cmd_run_sharded(const Args& args, std::size_t users, std::size_t sessions,
               << " records in (time, user) order\n";
   }
   if (args.flags.count("log")) {
-    std::ostringstream text;
     auto reader = result.open_log_reader();
-    core::write_log_text(*reader, text);
-    util::write_text_file(args.get("log", ""), text.str());
+    core::write_log_file(*reader, args.get("log", ""));
     std::cout << "\nusage log written to " << args.get("log", "") << "\n";
   }
   if (run.config().obs.collect()) {
@@ -418,7 +416,8 @@ int cmd_run(const Args& args) {
   std::cout << "\n" << universe.model().stats_summary();
 
   if (args.flags.count("log")) {
-    util::write_text_file(args.get("log", ""), usim.log().serialize());
+    core::MemoryLogReader reader(usim.log());
+    core::write_log_file(reader, args.get("log", ""));
     std::cout << "\nusage log written to " << args.get("log", "") << "\n";
   }
   if (obs_cfg.collect()) {

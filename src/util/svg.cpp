@@ -95,7 +95,7 @@ std::string read_text_file(const std::string& path) {
   return out.str();
 }
 
-void write_text_file(const std::string& path, const std::string& content) {
+std::ofstream open_text_file(const std::string& path) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::error_code ec;
@@ -103,6 +103,11 @@ void write_text_file(const std::string& path, const std::string& content) {
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("write_text_file: cannot open " + path);
+  return out;
+}
+
+void write_text_file(const std::string& path, const std::string& content) {
+  std::ofstream out = open_text_file(path);
   out << content;
   if (!out) throw std::runtime_error("write_text_file: write failed for " + path);
 }

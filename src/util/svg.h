@@ -1,5 +1,6 @@
 #pragma once
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,10 @@ struct SvgOptions {
 /// Used by examples and benches to export paper-figure lookalikes; the role
 /// played by the X11 display in the original GDS.
 std::string svg_plot(const std::vector<SvgSeries>& series, const SvgOptions& options = {});
+
+/// Opens a file for writing (truncating it), creating parent directories
+/// when needed.  Throws std::runtime_error when the file cannot be opened.
+std::ofstream open_text_file(const std::string& path);
 
 /// Writes text to a file, creating parent directories when needed.
 /// Throws std::runtime_error when the file cannot be written.

@@ -1,10 +1,13 @@
-// Streaming log pipeline: binary codec, spill sink, k-way merge reader and
-// the text-streaming adapters (DESIGN.md "Streaming log pipeline").
+// Streaming log pipeline: binary codec, spill sink, k-way merge reader, the
+// prefetching reader and the text-streaming adapters (DESIGN.md "Streaming
+// log pipeline").
 #include "core/log_sink.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -12,10 +15,12 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analysis.h"
 #include "core/usage_log.h"
+#include "util/svg.h"
 
 namespace wlgen::core {
 namespace {
@@ -321,6 +326,206 @@ TEST(RunFileReader, RejectsOutOfRangeOpAndCategoryBytes) {
   // Restored, the file reads through: the check accepts every real value.
   auto reader = open_spilled_log({run});
   EXPECT_EQ(materialize(*reader).size(), 10u);
+  std::filesystem::remove_all(dir);
+}
+
+// --- PrefetchLogReader ------------------------------------------------------
+
+constexpr std::size_t kBlock = PrefetchLogReader::kBlockRecords;
+
+// Spills `records` records of users with a few records each (issue times
+// drawn per user, nondecreasing) into runs of about `buffer_records`.
+std::vector<SpillRun> spill_records(const std::string& dir, std::size_t records,
+                                    std::size_t buffer_records) {
+  SpillSink sink(dir, "p", buffer_records);
+  std::mt19937 rng(static_cast<std::uint32_t>(records * 31 + buffer_records));
+  std::uint32_t user = 0;
+  double t = 0.0;
+  for (std::size_t i = 0; i < records; ++i) {
+    if (i % 5 == 0) {
+      ++user;
+      t = static_cast<double>(rng() % 1000);
+    }
+    t += static_cast<double>(rng() % 7);  // equal times across users force ties
+    sink.append(make_record(user, t, 1.0 + static_cast<double>(i), i));
+  }
+  sink.close();
+  return sink.runs();
+}
+
+struct Drained {
+  std::vector<OpRecord> records;
+  std::string error;  ///< empty when the stream ended normally
+};
+
+Drained drain(LogReader& reader) {
+  Drained out;
+  OpRecord r;
+  try {
+    while (reader.next(r)) out.records.push_back(r);
+  } catch (const std::runtime_error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+std::string text_of(const std::vector<OpRecord>& records) {
+  UsageLog log;
+  for (const auto& r : records) log.append(r);
+  return log.serialize();
+}
+
+TEST(PrefetchLogReader, StreamMatchesPlainMergeAtEveryBlockBoundary) {
+  const std::string dir = temp_dir("prefetch_stream");
+  for (const std::size_t records :
+       {std::size_t{0}, std::size_t{1}, kBlock - 1, kBlock, kBlock + 1, 3 * kBlock}) {
+    // One run (buffer larger than the stream), then many.
+    for (const std::size_t buffer : {4 * kBlock, std::max<std::size_t>(1, records / 9)}) {
+      std::filesystem::remove_all(dir);
+      const auto runs = spill_records(dir, records, buffer);
+      if (records == 0) {
+        EXPECT_TRUE(runs.empty());
+      } else if (buffer > records) {
+        EXPECT_EQ(runs.size(), 1u);
+      } else if (records > 1) {
+        EXPECT_GT(runs.size(), 1u);
+      }
+      auto plain = merge_spilled_runs(runs);
+      auto prefetched = open_spilled_log(runs);
+      const Drained expected = drain(*plain);
+      const Drained got = drain(*prefetched);
+      EXPECT_TRUE(expected.error.empty()) << expected.error;
+      EXPECT_TRUE(got.error.empty()) << got.error;
+      ASSERT_EQ(got.records.size(), records) << runs.size() << " runs";
+      EXPECT_EQ(text_of(got.records), text_of(expected.records))
+          << records << " records in " << runs.size() << " runs";
+      // Past the end the stream stays ended.
+      OpRecord r;
+      EXPECT_FALSE(prefetched->next(r));
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Spills three runs of 1500 records, corrupts run 1 with `corrupt`, then
+// drains it through the plain merge and through the prefetcher: both must
+// deliver the same records and then the same error.
+void expect_same_failure(const char* tag, void (*corrupt)(const SpillRun&),
+                         const char* expected_fragment) {
+  const std::string dir = temp_dir(tag);
+  const auto runs = spill_records(dir, 4500, 1500);
+  ASSERT_EQ(runs.size(), 3u);
+  ASSERT_GT(runs[1].records, kBlock + 1);
+  corrupt(runs[1]);
+
+  auto plain = merge_spilled_runs(runs);
+  auto prefetched = open_spilled_log(runs);
+  const Drained expected = drain(*plain);
+  const Drained got = drain(*prefetched);
+  ASSERT_FALSE(expected.error.empty());
+  EXPECT_NE(expected.error.find(runs[1].path), std::string::npos) << expected.error;
+  EXPECT_NE(expected.error.find(expected_fragment), std::string::npos) << expected.error;
+  // The error lies past the first prefetched blocks, so the hand-over of
+  // complete blocks and of the partial block before it is exercised.
+  EXPECT_GT(expected.records.size(), 2 * kBlock);
+  EXPECT_LT(expected.records.size(), 4500u);
+  EXPECT_EQ(got.error, expected.error);
+  ASSERT_EQ(got.records.size(), expected.records.size());
+  EXPECT_EQ(text_of(got.records), text_of(expected.records));
+  // The error sticks: the next call reports it again.
+  OpRecord r;
+  EXPECT_THROW(prefetched->next(r), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PrefetchLogReader, FlippedEnumByteSurfacesAfterTheSameRecords) {
+  expect_same_failure(
+      "prefetch_enum",
+      [](const SpillRun& run) {
+        poke_byte(run.path, kSpillHeaderBytes + 1300 * kSpillRecordBytes + 24, 0xFF);
+      },
+      "record 1300");
+}
+
+TEST(PrefetchLogReader, TruncatedRunSurfacesAfterTheSameRecords) {
+  expect_same_failure(
+      "prefetch_truncated",
+      [](const SpillRun& run) { std::filesystem::resize_file(run.path, run.bytes - 7); },
+      "truncated");
+}
+
+TEST(PrefetchLogReader, FirstRecordErrorsThrowFromOpen) {
+  const std::string dir = temp_dir("prefetch_open");
+  const auto runs = spill_records(dir, 600, 200);
+  ASSERT_GT(runs.size(), 1u);
+  poke_byte(runs[1].path, kSpillHeaderBytes + 25, 0xFF);
+  EXPECT_THROW(merge_spilled_runs(runs), std::runtime_error);
+  EXPECT_THROW(open_spilled_log(runs), std::runtime_error);
+  auto missing = runs;
+  missing[0].path += ".nope";
+  EXPECT_THROW(open_spilled_log(missing), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PrefetchLogReader, DestroysMidStream) {
+  const std::string dir = temp_dir("prefetch_destroy");
+  const auto runs = spill_records(dir, 8 * kBlock, 2 * kBlock);
+  for (const std::size_t consumed : {std::size_t{0}, std::size_t{1}, kBlock + 1}) {
+    auto reader = open_spilled_log(runs);
+    OpRecord r;
+    for (std::size_t i = 0; i < consumed; ++i) ASSERT_TRUE(reader->next(r));
+    reader.reset();  // must stop and join the helper, not hang
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Endless synthetic stream that counts what the helper has pulled.
+class CountingReader final : public LogReader {
+ public:
+  explicit CountingReader(std::atomic<std::size_t>& pulled) : pulled_(pulled) {}
+  bool next(OpRecord& out) override {
+    const std::size_t i = pulled_.load();
+    out = make_record(0, static_cast<double>(i), 1.0);
+    pulled_.store(i + 1);
+    return true;
+  }
+
+ private:
+  std::atomic<std::size_t>& pulled_;
+};
+
+TEST(PrefetchLogReader, DestroysWhileTheHelperWaitsOnAFullRing) {
+  constexpr std::size_t kRing = PrefetchLogReader::kRingBlocks * kBlock;
+  for (const std::size_t consumed : {std::size_t{0}, std::size_t{1}}) {
+    std::atomic<std::size_t> pulled{0};
+    auto reader = std::make_unique<PrefetchLogReader>(std::make_unique<CountingReader>(pulled));
+    OpRecord r;
+    for (std::size_t i = 0; i < consumed; ++i) {
+      ASSERT_TRUE(reader->next(r));
+      EXPECT_EQ(r.issue_time_us, static_cast<double>(i));
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (pulled.load() < kRing && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // The ring is full: the helper stops pulling until a block is released.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(pulled.load(), kRing);
+    reader.reset();
+  }
+}
+
+TEST(TextAdapters, WriteLogFileMatchesSerializeAndCreatesDirectories) {
+  const std::string dir = temp_dir("log_file");
+  UsageLog log;
+  for (std::uint32_t u = 0; u < 4; ++u) log.append(make_record(u, 0.3 + u, 1e-7 * u));
+  const std::string path = dir + "/nested/out/log.tsv";
+  MemoryLogReader reader(log);
+  EXPECT_EQ(write_log_file(reader, path), log.size());
+  EXPECT_EQ(util::read_text_file(path), log.serialize());
+
+  MemoryLogReader again(log);
+  EXPECT_THROW(write_log_file(again, dir), std::runtime_error);  // a directory
   std::filesystem::remove_all(dir);
 }
 

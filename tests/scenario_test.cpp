@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <set>
 
+#include "core/log_sink.h"
 #include "fsmodel/local_model.h"
 #include "fsmodel/nfs_model.h"
 #include "fsmodel/wholefile_model.h"
@@ -395,6 +396,36 @@ TEST(ScenarioRun, SpilledScenarioStillWritesTheOutputLog) {
   EXPECT_GT(outcome.models[0].response_sketch.count(), 0u);
   EXPECT_TRUE(std::filesystem::exists(log_path));
   EXPECT_GT(std::filesystem::file_size(log_path), 0u);
+  std::filesystem::remove_all(spool);
+  std::filesystem::remove(log_path);
+}
+
+TEST(ScenarioRun, OutputLogFileEqualsTheSerializedLogSpilledAndInRam) {
+  // [output] log streams straight to the file for both log locations; the
+  // bytes must be exactly the materialized log's serialize().
+  const auto spool = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_logbytes";
+  const auto log_path = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_logbytes.tsv";
+  std::filesystem::remove_all(spool);
+  const std::string output = "[output]\nlog = " + log_path.string() + "\n";
+
+  const ScenarioOutcome spilled =
+      run_scenario(ScenarioSpec::parse_text(spill_scenario_text(spool.string()) + output));
+  ASSERT_FALSE(spilled.models[0].spilled_runs.empty());
+  const std::string spilled_bytes = util::read_text_file(log_path.string());
+  auto reader = core::open_spilled_log(spilled.models[0].spilled_runs);
+  EXPECT_EQ(spilled_bytes, core::materialize(*reader).serialize());
+
+  const ScenarioOutcome in_ram = run_scenario(ScenarioSpec::parse_text(
+      "[scenario]\nmode = sharded\nname = pin-spill\n"
+      "[workload]\nusers = 6\nsessions = 2\n"
+      "[sharded]\nshards = 3\n"
+      "[model]\nname = nfs\n" + output));
+  ASSERT_TRUE(in_ram.models[0].spilled_runs.empty());
+  ASSERT_FALSE(in_ram.models[0].log.empty());
+  core::MemoryLogReader memory(in_ram.models[0].log);
+  EXPECT_EQ(util::read_text_file(log_path.string()), core::materialize(memory).serialize());
+  // The spill pipeline never moves a log byte.
+  EXPECT_EQ(util::read_text_file(log_path.string()), spilled_bytes);
   std::filesystem::remove_all(spool);
   std::filesystem::remove(log_path);
 }
